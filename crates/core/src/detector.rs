@@ -326,6 +326,28 @@ impl Tiresias {
     /// open timeunit, and propagates tracker construction errors at the
     /// warm-up boundary.
     pub fn push_str(&mut self, path: &str, t_secs: u64) -> Result<(), CoreError> {
+        self.push_count(path, t_secs, 1)
+    }
+
+    /// Ingests `n` records of one category path and one timestamp in a
+    /// single step — a **count cell**, the unit the live engine's
+    /// shard workers apply.
+    ///
+    /// Exactly equivalent to calling [`Tiresias::push_str`]`(path,
+    /// t_secs)` `n` times (`n = 0` does nothing at all): the same
+    /// timeunits close, the path's node is created at the same point,
+    /// and the open unit ends up with the same count — sums of whole
+    /// numbers are exact in `f64`, so adding `n` once equals adding
+    /// `1.0` `n` times.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tiresias::push_str`].
+    #[inline]
+    pub fn push_count(&mut self, path: &str, t_secs: u64, n: u64) -> Result<(), CoreError> {
+        if n == 0 {
+            return Ok(());
+        }
         let unit = t_secs / self.builder.timeunit_secs;
         match self.open_unit {
             None => self.open_unit = Some(unit),
@@ -339,7 +361,7 @@ impl Tiresias {
             Some(_) => {}
         }
         let node = self.tree.insert_str(path);
-        self.open_counts.add(node.index(), 1.0);
+        self.open_counts.add(node.index(), n as f64);
         Ok(())
     }
 
@@ -813,6 +835,52 @@ mod tests {
         }
         assert_eq!(a.heavy_hitters(), b.heavy_hitters());
         assert_eq!(a.anomalies(), b.anomalies());
+    }
+
+    #[test]
+    fn push_count_equals_repeated_push_str() {
+        let mut a = small_detector(4);
+        let mut b = small_detector(4);
+        // (path, unit, n): repeats, a gap (unit 5 → 9), a zero cell
+        // that must not even create its node, and a burst to detect.
+        let cells = [
+            ("TV/NoService", 0u64, 7u64),
+            ("Net/Slow", 0, 3),
+            ("TV/NoService", 0, 2),
+            ("Ghost/Never", 1, 0),
+            ("TV/NoService", 1, 9),
+            ("TV/NoService", 2, 9),
+            ("TV/NoService", 3, 9),
+            ("TV/NoService", 4, 9),
+            ("TV/NoService", 5, 9),
+            ("Net/Slow", 9, 1),
+            ("TV/NoService", 9, 120),
+        ];
+        for &(path, unit, n) in &cells {
+            for _ in 0..n {
+                a.push_str(path, unit * 900).unwrap();
+            }
+            b.push_count(path, unit * 900, n).unwrap();
+        }
+        // The whole serialised state must agree, wall-clock stage
+        // timers aside.
+        fn state(d: &Tiresias) -> String {
+            let mut d = d.clone();
+            (d.reading, d.detecting) = Default::default();
+            let json = serde_json::to_string(&d).unwrap();
+            let (head, rest) = json.split_once("\"timings\":{").expect("running tracker");
+            let (_, tail) = rest.split_once("}}").expect("four durations");
+            format!("{head}{tail}")
+        }
+        // Mid-unit: open counts and their first-touch order included.
+        assert_eq!(state(&a), state(&b));
+        a.advance_to(10 * 900).unwrap();
+        b.advance_to(10 * 900).unwrap();
+        assert!(!a.anomalies().is_empty(), "the burst is detected");
+        assert_eq!(state(&a), state(&b));
+        assert!(b.tree().resolve_str("Ghost/Never").is_none());
+        let err = b.push_count("TV/NoService", 0, 4).unwrap_err();
+        assert!(matches!(err, CoreError::OutOfOrder { .. }));
     }
 
     #[test]

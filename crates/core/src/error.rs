@@ -34,6 +34,13 @@ pub enum CoreError {
     /// resumes as soon as appends succeed again, so a disk hiccup
     /// costs refused batches, not an outage.
     WalUnavailable(String),
+    /// A category path is longer than the write-ahead log's record
+    /// format can hold ([`crate::MAX_PATH_BYTES`]); the record was
+    /// refused before it entered a batch.
+    PathTooLong {
+        /// Byte length of the refused path.
+        len: usize,
+    },
     /// An error bubbled up from the heavy hitter tracker.
     Hhh(HhhError),
     /// An error bubbled up from the hierarchy.
@@ -56,6 +63,11 @@ impl fmt::Display for CoreError {
             CoreError::WalUnavailable(why) => {
                 write!(f, "wal unavailable: {why}; batch refused, admission will resume")
             }
+            CoreError::PathTooLong { len } => write!(
+                f,
+                "category path of {len} bytes exceeds the {}-byte bound",
+                crate::MAX_PATH_BYTES
+            ),
             CoreError::Hhh(e) => write!(f, "heavy hitter tracker error: {e}"),
             CoreError::Hierarchy(e) => write!(f, "hierarchy error: {e}"),
         }

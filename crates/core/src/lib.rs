@@ -97,6 +97,7 @@
 
 mod anomaly;
 mod builder;
+mod cells;
 mod checkpoint;
 mod counts;
 mod detector;
@@ -116,6 +117,7 @@ mod wal;
 
 pub use anomaly::{is_anomalous, is_drop, AnomalyEvent, AnomalyKind};
 pub use builder::{Algorithm, TiresiasBuilder};
+pub use cells::RecordBatch;
 pub use checkpoint::{
     load_checkpoint, load_checkpoint_meta, save_checkpoint, save_sharded_checkpoint,
     save_sharded_checkpoint_with_wal, save_single_checkpoint, CheckpointEngine, CHECKPOINT_VERSION,
@@ -136,8 +138,8 @@ pub use sharded::{RebalanceConfig, ShardRouter, ShardedTiresias};
 pub use store::ReportStore;
 pub use telem::EngineTelemetry;
 pub use wal::{
-    encode_record, read_wal, Wal, WalEntry, WalRecovery, WalSyncPolicy, DEFAULT_WAL_SEGMENT_BYTES,
-    FRAME_HEADER_BYTES,
+    crc32, encode_record, read_wal, Wal, WalEntry, WalRecovery, WalSyncPolicy,
+    DEFAULT_WAL_SEGMENT_BYTES, FRAME_HEADER_BYTES, MAX_PATH_BYTES,
 };
 
 // Re-export the pieces callers need to configure the detector.

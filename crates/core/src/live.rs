@@ -9,16 +9,43 @@
 //! splits the engine in two:
 //!
 //! * [`IngestHandle`] — the **front-end**: cloneable, `Send + Sync`,
-//!   admits records with `&self` from any number of session threads.
-//!   It routes and validates against an atomic timeunit **watermark**,
-//!   counts late/ahead/admitted records atomically, and produces
-//!   accepted records into per-shard [`ShardRing`]s consumed by
-//!   long-running worker threads (one per shard, each owning its
-//!   [`Tiresias`] exclusively). No engine-wide lock is taken anywhere
-//!   on this path.
+//!   admits [`RecordBatch`]es with `&self` from any number of session
+//!   threads. It validates against an atomic timeunit **watermark**,
+//!   counts late/ahead/admitted records atomically, routes once per
+//!   distinct path, and hands the accepted records — folded into count
+//!   cells — to per-shard [`ShardRing`]s consumed by long-running
+//!   worker threads (one per shard, each owning its [`Tiresias`]
+//!   exclusively). No engine-wide lock is taken anywhere on this path.
 //! * [`LiveSharded`] — the **back-end**: exclusive, owns the workers,
 //!   the merged report tree/store and the checkpoint lifecycle.
 //!   Timeunit closes, anomaly merging and metrics stay here.
+//!
+//! # Admission: one pass, count cells out
+//!
+//! A detector consumes one thing per record — "+1 for this category in
+//! this timeunit" — so the record currency of this path is not an owned
+//! `(String, u64)` but the flat [`RecordBatch`] a session fills (the
+//! batch's distinct paths once, a `(path index, timestamp)` pair per
+//! record) and, past admission, the **count cell** `(path, unit, n)`.
+//! [`IngestHandle::admit_batch`] makes one pass over the records under
+//! one shared gate acquisition: classify each against the watermark
+//! (one [`Admission`] per record, in order), append each accepted
+//! record's bytes to the batch's write-ahead-log frame (so **WAL order
+//! == admission order**, in the unchanged on-disk format), and count it
+//! into its path's current cell in the owning shard's chunk — the
+//! routing table is consulted once per distinct path per batch. The
+//! chunks, cells in first-appearance order, are what the rings carry;
+//! their queue gauges still count records.
+//!
+//! A worker applies a cell of its open unit with one
+//! [`Tiresias::push_count`] — proven equal to `n` single pushes — and a
+//! cell is processed where the *first* of its records stood. That is
+//! what keeps the output byte-identical to per-record ingestion: a
+//! path's tree node is created when its first record is **counted**
+//! (never when it is merely stashed), so each shard hands out node ids
+//! in the same order as before, and node ids are what order ADA's
+//! floating-point sums (the argument is spelled out in the `cells`
+//! module docs).
 //!
 //! # The epoch barrier: how timeunits close under concurrent admission
 //!
@@ -32,17 +59,25 @@
 //! ring write happen under the same gate acquisition, every record
 //! admitted against watermark `W` is **in its ring before the barrier
 //! that closes `W`** — in-flight pushes land in a well-defined unit, by
-//! construction. Workers process their backlog, feed any held-back
-//! future records whose unit is now due, close through the barrier's
+//! construction. Workers process their backlog, apply any held-back
+//! future cells whose unit is now due, close through the barrier's
 //! target in parallel, and acknowledge with their newly final
 //! anomalies, which the back-end merges in `(unit, path)` order exactly
 //! like the offline engine.
 //!
+//! # The stash: future units, keyed by unit
+//!
 //! Records of units *ahead* of the watermark (within the configured
-//! bound) are admitted and stashed by the owning worker until a barrier
-//! opens their unit — the same hold-back the serving layer previously
-//! implemented with a buffer under its global lock, now per shard and
-//! lock-free for producers.
+//! bound) are admitted, and their cells are held back by the owning
+//! worker until a barrier opens their unit. The stash is a
+//! `BTreeMap<unit, bucket>`; a bucket keeps one cell per distinct path
+//! in first-arrival order, merging later arrivals into it. Its size is
+//! therefore bounded by distinct paths × units ahead — not by records,
+//! however far ahead of the grace window a bulk client runs — and a
+//! close simply drains the buckets `..= target` in key order: no sort,
+//! and the same unit-then-arrival order the per-record stash replayed.
+//! A label migrating between shards takes its stashed cells along.
+//! `stashed_records` still reports records (`Σ n`).
 //!
 //! [`LiveSharded::finish`] drains every ring and stash, joins the
 //! workers and reassembles a plain [`ShardedTiresias`] — so a live
@@ -57,16 +92,15 @@ use std::time::{Duration, Instant};
 
 use crate::anomaly::AnomalyEvent;
 use crate::builder::TiresiasBuilder;
+use crate::cells::{CellChunk, CellStash, RecordBatch};
 use crate::detector::{SubtreeState, Tiresias};
 use crate::error::CoreError;
 use crate::ring::ShardRing;
 use crate::segments::SegmentStore;
-use crate::sharded::{
-    Balancer, RebalanceConfig, RouteScratch, ShardRouter, ShardedParts, ShardedTiresias,
-};
+use crate::sharded::{Balancer, RebalanceConfig, ShardRouter, ShardedParts, ShardedTiresias};
 use crate::store::ReportStore;
 use crate::telem::EngineTelemetry;
-use crate::wal::{encode_record, Wal};
+use crate::wal::Wal;
 
 use tiresias_hierarchy::{first_segment_hash, CategoryPath};
 
@@ -103,9 +137,10 @@ pub enum Admission {
 /// serialized control messages that give in-flight records a
 /// well-defined home (see the module docs).
 enum ShardMsg {
-    /// Records admitted under watermark `wm` (every unit is in
-    /// `[wm, wm + max_ahead]`).
-    Records { wm: u64, recs: Vec<(String, u64)> },
+    /// One admission's accepted records for this shard, folded into
+    /// count cells, admitted under watermark `wm` (every cell's unit is
+    /// in `[wm, wm + max_ahead]`).
+    Cells { wm: u64, chunk: CellChunk },
     /// Close every unit in `[from, target)` and leave `target` open.
     Barrier { seq: u64, from: u64, target: u64 },
     /// Final drain: feed the whole stash (closing what the data
@@ -113,7 +148,7 @@ enum ShardMsg {
     Drain { seq: u64, from: u64, align: Option<u64> },
     /// Rebalancing, step 1: extract the top-level subtrees whose
     /// first-segment hash is `hash` — detector state *and* stashed
-    /// future records — and reply with them. Sent only under the held
+    /// future cells — and reply with them. Sent only under the held
     /// write gate, right after a barrier ack: the shard is aligned and
     /// no admission can race the transplant.
     Extract { hash: u64, reply: Sender<Migration> },
@@ -123,10 +158,10 @@ enum ShardMsg {
 }
 
 /// A top-level subtree in flight between two shard workers: its
-/// detector state plus the stashed future records that belong to it.
+/// detector state plus the stashed future cells that belong to it.
 struct Migration {
     state: SubtreeState,
-    stash: Vec<(String, u64)>,
+    stash: CellStash,
 }
 
 /// A worker's reply to a `Barrier` or `Drain`.
@@ -139,9 +174,10 @@ struct ShardAck {
     /// a close consumed part of the stash.
     stash_max: Option<u64>,
     units_processed: u64,
-    /// Per-top-level-label subtree load of the last closed unit (empty
-    /// on drains and poisoned shards) — the rebalancer's epoch
-    /// measurement.
+    /// Per-top-level-label subtree load of the last closed unit — the
+    /// rebalancer's epoch measurement. Empty on drains, on poisoned
+    /// shards, and whenever adaptive rebalancing is off (nobody would
+    /// read it).
     loads: Vec<(String, f64)>,
     error: Option<CoreError>,
 }
@@ -197,6 +233,12 @@ struct FrontShared {
     /// thousandths (`0` = not yet measured) — fixed-point so the
     /// exporters need no float atomic.
     balance_milli: AtomicU64,
+    /// Mirror of `RebalanceConfig::enabled` where the workers can read
+    /// it: they measure per-label loads for their barrier acks only
+    /// while it is set. A statistic-free flag that publishes no other
+    /// data, hence `Relaxed`; a worker that reads a stale value skips
+    /// or adds one epoch's measurement.
+    rebalance_on: AtomicBool,
     /// `max(future unit admitted) + 1`, `0` when none — drives the
     /// serving layer's data-watermark close rule.
     ahead_max: AtomicU64,
@@ -263,12 +305,18 @@ impl std::fmt::Debug for IngestHandle {
 }
 
 impl IngestHandle {
-    /// Admits a batch of `(path, timestamp)` records, draining
-    /// `records` and appending one [`Admission`] per record (in order)
-    /// to `outcomes`. Accepted records are routed and enqueued to their
-    /// shard workers; late and too-far-ahead records are dropped and
-    /// counted. The whole batch is admitted under **one** gate
-    /// acquisition, so per-record overhead amortises with batch size.
+    /// Admits a [`RecordBatch`], writing one [`Admission`] per record
+    /// (in order) to `outcomes`. Accepted records are folded into
+    /// per-shard count cells and enqueued to their shard workers; late
+    /// and too-far-ahead records are dropped and counted. The whole
+    /// batch is admitted under **one** gate acquisition and one pass:
+    /// a record costs a watermark comparison and a counter increment,
+    /// a *distinct path* costs one routing decision and one copy of its
+    /// bytes.
+    ///
+    /// The batch is left filled — [`RecordBatch::accepted_by_path`]
+    /// reports what this call accepted — and is the caller's to
+    /// [`RecordBatch::clear`].
     ///
     /// Blocks only when a shard's ring is full (bounded backpressure
     /// from a worker that cannot keep up).
@@ -276,17 +324,17 @@ impl IngestHandle {
     /// # Errors
     ///
     /// Returns [`CoreError::Closed`] once the engine is draining,
-    /// poisoned by a shard error, or gone. The pre-admission check
-    /// admits nothing; a teardown racing the ring hand-off can leave
-    /// `records` partially drained, so callers replying per record
-    /// should capture the batch length up front.
+    /// poisoned by a shard error, or gone, and
+    /// [`CoreError::WalUnavailable`] when the write-ahead log cannot
+    /// take the batch. Either way nothing of the batch counts as
+    /// admitted and `outcomes` is meaningless.
     pub fn admit_batch(
         &self,
-        records: &mut Vec<(String, u64)>,
+        batch: &mut RecordBatch,
         outcomes: &mut Vec<Admission>,
     ) -> Result<(), CoreError> {
         outcomes.clear();
-        if records.is_empty() {
+        if batch.is_empty() {
             return Ok(());
         }
         let s = &*self.shared;
@@ -299,12 +347,13 @@ impl IngestHandle {
         if s.wal.is_some() && s.wal_paused.load(Ordering::SeqCst) {
             // An earlier append or fsync failed and the serving layer
             // has not yet observed a successful sync: refuse the whole
-            // batch up front (nothing drained, nothing acknowledged).
+            // batch up front (nothing enqueued, nothing acknowledged).
             s.wal_errors.fetch_add(1, Ordering::SeqCst);
             return Err(CoreError::WalUnavailable(
                 "a write-ahead log write failed; admission is paused".to_string(),
             ));
         }
+        let tu = s.timeunit;
         let mut wm = s.watermark.load(Ordering::SeqCst);
         if wm == UNSET {
             // First record ever: its unit anchors the stream's
@@ -314,7 +363,7 @@ impl IngestHandle {
             // attempts race benignly — one wins, the rest validate
             // against the winner.
             if let Some(anchor) =
-                records.iter().map(|&(_, t)| t / s.timeunit).find(|&u| u <= s.max_unit)
+                batch.columns().iter().map(|&(_, t)| t / tu).find(|&u| u <= s.max_unit)
             {
                 wm = match s.watermark.compare_exchange(
                     UNSET,
@@ -327,35 +376,43 @@ impl IngestHandle {
                 };
             }
         }
-        let mut chunks: Vec<Vec<(String, u64)>> = vec![Vec::new(); s.rings.len()];
+        batch.begin_admission(s.rings.len());
+        outcomes.reserve(batch.len());
         let (mut n_accepted, mut n_late, mut n_ahead) = (0u64, 0u64, 0u64);
         let mut future_max: Option<u64> = None;
-        let mut wal_buf: Vec<u8> = Vec::new();
+        let log = s.wal.is_some();
+        let ahead_limit = wm.saturating_add(s.max_ahead).min(s.max_unit);
         // One routing-table read lock per batch, one table lookup per
-        // *distinct* label within it (the scratch short-circuits
-        // repeats).
+        // *distinct* path within it.
         let router = s.router.read().expect("router lock never poisoned");
-        let mut scratch = RouteScratch::new();
-        for (path, t) in records.drain(..) {
-            let unit = t / s.timeunit;
-            let outcome =
-                if wm == UNSET || unit > s.max_unit || unit > wm.saturating_add(s.max_ahead) {
-                    n_ahead += 1;
-                    Admission::TooFarAhead
-                } else if unit < wm {
-                    n_late += 1;
-                    Admission::Late
-                } else {
-                    n_accepted += 1;
-                    if unit > wm {
-                        future_max = Some(future_max.map_or(unit, |m| m.max(unit)));
-                    }
-                    if s.wal.is_some() {
-                        encode_record(&mut wal_buf, &path, t);
-                    }
-                    chunks[scratch.route(&router, &path)].push((path, t));
-                    Admission::Accepted
-                };
+        // Feeds are near time order, so a record is almost always in
+        // the previous record's unit: divide only when it is not.
+        let mut unit = batch.columns()[0].1 / tu;
+        let mut unit_start = unit * tu;
+        for i in 0..batch.len() {
+            let (path, t) = batch.columns()[i];
+            if t.wrapping_sub(unit_start) >= tu {
+                unit = t / tu;
+                unit_start = unit * tu;
+            }
+            let outcome = if wm == UNSET || unit > ahead_limit {
+                n_ahead += 1;
+                Admission::TooFarAhead
+            } else if unit < wm {
+                n_late += 1;
+                Admission::Late
+            } else {
+                n_accepted += 1;
+                if unit > wm {
+                    future_max = Some(future_max.map_or(unit, |m| m.max(unit)));
+                }
+                if log {
+                    // WAL order == admission order, record by record.
+                    batch.log_record(path, t);
+                }
+                batch.count_accepted(path, unit, |h| router.route_hash(h));
+                Admission::Accepted
+            };
             outcomes.push(outcome);
         }
         drop(router);
@@ -368,7 +425,7 @@ impl IngestHandle {
         // degrades to `ERR wal` replies instead of ending the daemon.
         if n_accepted > 0 {
             if let Some(wal) = &s.wal {
-                if let Err(e) = wal.append_batch_raw(&wal_buf, n_accepted as u32) {
+                if let Err(e) = wal.append_batch_raw(batch.logged(), n_accepted as u32) {
                     s.wal_paused.store(true, Ordering::SeqCst);
                     s.wal_errors.fetch_add(1, Ordering::SeqCst);
                     return Err(CoreError::WalUnavailable(format!("WAL append failed: {e}")));
@@ -378,12 +435,9 @@ impl IngestHandle {
         // Enqueue while still holding the gate: this is what guarantees
         // records admitted against watermark `wm` precede any barrier
         // that closes `wm` in ring order (see the module docs).
-        for (idx, chunk) in chunks.into_iter().enumerate() {
-            if chunk.is_empty() {
-                continue;
-            }
-            s.queued[idx].fetch_add(chunk.len() as u64, Ordering::SeqCst);
-            let msg = ShardMsg::Records { wm, recs: chunk };
+        for (idx, chunk) in batch.take_chunks() {
+            s.queued[idx].fetch_add(chunk.records(), Ordering::SeqCst);
+            let msg = ShardMsg::Cells { wm, chunk };
             let delivered = match &s.telem {
                 Some(t) => match s.rings[idx].push_timing_stall(msg) {
                     Some(stall) => {
@@ -440,11 +494,12 @@ impl IngestHandle {
     /// # Errors
     ///
     /// Returns [`CoreError::Closed`] once the engine is draining or
-    /// gone.
+    /// gone, and [`CoreError::PathTooLong`] for a path no batch holds.
     pub fn admit(&self, path: &str, t_secs: u64) -> Result<Admission, CoreError> {
-        let mut records = vec![(path.to_string(), t_secs)];
+        let mut batch = RecordBatch::new();
+        batch.push_str(path, t_secs)?;
         let mut outcomes = Vec::with_capacity(1);
-        self.admit_batch(&mut records, &mut outcomes)?;
+        self.admit_batch(&mut batch, &mut outcomes)?;
         Ok(outcomes[0])
     }
 
@@ -577,7 +632,8 @@ impl IngestHandle {
     }
 
     /// Worst/mean per-shard load ratio of the last measured epoch
-    /// (`1.0` = perfectly balanced, `0.0` = not yet measured).
+    /// (`1.0` = perfectly balanced, `0.0` = not yet measured). Epochs
+    /// are measured only while adaptive rebalancing is enabled.
     pub fn shard_balance(&self) -> f64 {
         self.shared.balance_milli.load(Ordering::SeqCst) as f64 / 1000.0
     }
@@ -717,7 +773,7 @@ struct LiveInner {
 /// # Example
 ///
 /// ```
-/// use tiresias_core::{TiresiasBuilder, DEFAULT_MAX_AHEAD_UNITS};
+/// use tiresias_core::{RecordBatch, TiresiasBuilder, DEFAULT_MAX_AHEAD_UNITS};
 ///
 /// let engine = TiresiasBuilder::new()
 ///     .timeunit_secs(900)
@@ -734,11 +790,11 @@ struct LiveInner {
 /// // Session threads clone `handle` and admit concurrently; a
 /// // scheduler thread owns `engine` and flips timeunit boundaries.
 /// let mut engine = engine;
-/// let mut batch: Vec<(String, u64)> = Vec::new();
+/// let mut batch = RecordBatch::new();
 /// for t in 0..12u64 {
 ///     let burst = if t == 11 { 80 } else { 8 };
 ///     for i in 0..burst {
-///         batch.push(("TV/No Service".to_string(), t * 900 + i));
+///         batch.push_str("TV/No Service", t * 900 + i)?;
 ///     }
 /// }
 /// let mut outcomes = Vec::new();
@@ -813,6 +869,7 @@ impl LiveSharded {
             ahead: AtomicU64::new(0),
             rebalances: AtomicU64::new(0),
             balance_milli: AtomicU64::new(0),
+            rebalance_on: AtomicBool::new(parts.rebalance.enabled),
             ahead_max: AtomicU64::new(0),
             first_future_nanos: AtomicU64::new(0),
             first_admit_nanos: AtomicU64::new(0),
@@ -1023,7 +1080,9 @@ impl LiveSharded {
     /// configuration and is not checkpointed — only the learned
     /// placement (the router's override table) persists.
     pub fn set_rebalance(&mut self, config: RebalanceConfig) {
-        self.inner.as_mut().expect("live engine present until finish").rebalance = config;
+        let inner = self.inner.as_mut().expect("live engine present until finish");
+        inner.shared.rebalance_on.store(config.enabled, Ordering::Relaxed);
+        inner.rebalance = config;
     }
 
     /// Requests that top-level label `label` be owned by `shard`. The
@@ -1047,7 +1106,8 @@ impl LiveSharded {
     }
 
     /// Worst/mean per-shard load ratio of the last measured epoch
-    /// (1.0 = perfectly balanced, 0.0 = not yet measured).
+    /// (1.0 = perfectly balanced, 0.0 = not yet measured). Epochs are
+    /// measured only while adaptive rebalancing is enabled.
     pub fn shard_balance(&self) -> f64 {
         self.inner().bal.last_balance
     }
@@ -1254,7 +1314,7 @@ fn collect_acks(
 /// Applies pending pins and — when adaptive rebalancing is enabled —
 /// the greedy plan for the epoch the just-collected barrier acks
 /// measured. Each move transplants a top-level subtree (detector state
-/// plus stashed future records) between its two worker threads through
+/// plus stashed future cells) between its two worker threads through
 /// an [`ShardMsg::Extract`]/[`ShardMsg::Adopt`] pair, then repoints the
 /// routing table.
 ///
@@ -1347,11 +1407,11 @@ fn spill_and_apply(spill: Option<&SegmentStore>, store: &mut ReportStore) -> Res
     Ok(())
 }
 
-/// One shard's worker loop: ingest admission chunks, stash future
-/// records, close at barriers, drain and exit. The worker owns its
-/// [`Tiresias`] outright — no lock is ever taken around shard state.
+/// One shard's worker loop: apply admitted cells, stash future ones,
+/// close at barriers, drain and exit. The worker owns its [`Tiresias`]
+/// outright — no lock is ever taken around shard state.
 ///
-/// A shard error **poisons** the worker: further records are dropped,
+/// A shard error **poisons** the worker: further cells are dropped,
 /// every subsequent ack repeats the error (the back-end latches the
 /// first), and the shard's last good state survives for the final
 /// checkpoint — mirroring the serving layer's fatal-error policy.
@@ -1368,7 +1428,7 @@ fn run_worker(
     // with `false` instead of wedging the whole engine.
     let _unblock_producers = crate::ring::AbandonOnDrop(ring);
     let timeunit = shared.timeunit;
-    let mut stash: Vec<(String, u64)> = Vec::new();
+    let mut stash = CellStash::default();
     let mut cursor = shard.store().next_seq();
     let mut poison: Option<CoreError> = None;
     // An error is acknowledged exactly once: the back-end latches it as
@@ -1380,8 +1440,7 @@ fn run_worker(
     // a drain.
     while let Some(msg) = ring.pop() {
         match msg {
-            ShardMsg::Records { wm, recs } => {
-                let n = recs.len() as u64;
+            ShardMsg::Cells { wm, chunk } => {
                 if poison.is_none() && shard.current_unit().is_none() {
                     // First traffic on this shard: `wm` is the stream
                     // anchor (any later watermark would have been
@@ -1392,16 +1451,16 @@ fn run_worker(
                 }
                 if poison.is_none() {
                     let open = shard.current_unit().expect("aligned above");
-                    for (path, t) in recs {
-                        if t / timeunit > open {
-                            stash.push((path, t));
-                        } else if let Err(e) = shard.push_str(&path, t) {
+                    for (path, unit, n) in chunk.cells() {
+                        if unit > open {
+                            stash.add(unit, path, n);
+                        } else if let Err(e) = shard.push_count(path, unit * timeunit, n) {
                             poison_shard(shared, &mut poison, e);
                             break;
                         }
                     }
                 }
-                shared.queued[idx].fetch_sub(n, Ordering::SeqCst);
+                shared.queued[idx].fetch_sub(chunk.records(), Ordering::SeqCst);
                 update_gauges(idx, &shard, &stash, shared);
             }
             ShardMsg::Barrier { seq, from, target } => {
@@ -1417,40 +1476,30 @@ fn run_worker(
                 update_gauges(idx, &shard, &stash, shared);
                 let error = if reported { None } else { poison.clone() };
                 reported = poison.is_some();
-                // A healthy shard reports the closed epoch's per-label
-                // loads with its ack — the rebalancer's measurement.
-                let loads =
-                    if poison.is_none() { shard.top_level_unit_loads() } else { Vec::new() };
-                let _ = acks.send(make_ack(
-                    seq,
-                    &mut shard,
-                    &stash,
-                    &mut cursor,
-                    loads,
-                    error,
-                    timeunit,
-                ));
+                // While adaptive rebalancing is on, a healthy shard
+                // reports the closed epoch's per-label loads with its
+                // ack — the rebalancer's measurement. Nobody reads them
+                // otherwise, so they are not computed.
+                let loads = if poison.is_none() && shared.rebalance_on.load(Ordering::Relaxed) {
+                    shard.top_level_unit_loads()
+                } else {
+                    Vec::new()
+                };
+                let _ = acks.send(make_ack(seq, &mut shard, &stash, &mut cursor, loads, error));
             }
             ShardMsg::Extract { hash, reply } => {
                 // Sent only under the held write gate after this
                 // shard's barrier ack: aligned, and nothing in flight.
                 // A poisoned shard keeps its last good state instead —
                 // it may no longer be aligned with the adopter.
-                let state = if poison.is_none() {
-                    shard.extract_subtrees(|l| first_segment_hash(l) == hash)
+                let (state, moved) = if poison.is_none() {
+                    (
+                        shard.extract_subtrees(|l| first_segment_hash(l) == hash),
+                        stash.split_off_label(hash),
+                    )
                 } else {
-                    shard.extract_subtrees(|_| false)
+                    (shard.extract_subtrees(|_| false), CellStash::default())
                 };
-                let mut moved: Vec<(String, u64)> = Vec::new();
-                if poison.is_none() {
-                    stash.retain_mut(|entry| {
-                        let migrate = first_segment_hash(&entry.0) == hash;
-                        if migrate {
-                            moved.push(std::mem::take(entry));
-                        }
-                        !migrate
-                    });
-                }
                 update_gauges(idx, &shard, &stash, shared);
                 let _ = reply.send(Migration { state, stash: moved });
             }
@@ -1458,7 +1507,7 @@ fn run_worker(
                 if !migration.state.is_empty() {
                     shard.adopt_subtrees(migration.state);
                 }
-                stash.extend(migration.stash);
+                stash.absorb(migration.stash);
                 update_gauges(idx, &shard, &stash, shared);
             }
             ShardMsg::Drain { seq, from, align } => {
@@ -1471,15 +1520,8 @@ fn run_worker(
                 }
                 update_gauges(idx, &shard, &stash, shared);
                 let error = if reported { None } else { poison.clone() };
-                let _ = acks.send(make_ack(
-                    seq,
-                    &mut shard,
-                    &stash,
-                    &mut cursor,
-                    Vec::new(),
-                    error,
-                    timeunit,
-                ));
+                let _ =
+                    acks.send(make_ack(seq, &mut shard, &stash, &mut cursor, Vec::new(), error));
                 break;
             }
         }
@@ -1502,12 +1544,13 @@ fn poison_shard(shared: &FrontShared, slot: &mut Option<CoreError>, e: CoreError
 }
 
 /// Closes units `[from, target)` on one shard: align a never-touched
-/// shard to `from`, feed the stashed records whose unit is due (unit
-/// order, letting the data close intermediate units exactly as the
-/// offline engine's `push_batch` would), then advance to `target`.
+/// shard to `from`, apply the stashed cells whose unit is due — in
+/// unit order, which the stash's map already is, letting the data
+/// close intermediate units exactly as the offline engine's
+/// `push_batch` would — then advance to `target`.
 fn close_shard(
     shard: &mut Tiresias,
-    stash: &mut Vec<(String, u64)>,
+    stash: &mut CellStash,
     from: u64,
     target: u64,
     timeunit: u64,
@@ -1515,27 +1558,26 @@ fn close_shard(
     if shard.current_unit().is_none() {
         shard.advance_to(from * timeunit)?;
     }
-    stash.sort_by_key(|&(_, t)| t / timeunit);
-    let due = stash.partition_point(|&(_, t)| t / timeunit <= target);
-    for (path, t) in stash.drain(..due) {
-        shard.push_str(&path, t)?;
+    while let Some((unit, bucket)) = stash.pop_due(target) {
+        for (path, n) in bucket.cells() {
+            shard.push_count(path, unit * timeunit, n)?;
+        }
     }
     shard.advance_to(target * timeunit)
 }
 
-fn update_gauges(idx: usize, shard: &Tiresias, stash: &[(String, u64)], shared: &FrontShared) {
+fn update_gauges(idx: usize, shard: &Tiresias, stash: &CellStash, shared: &FrontShared) {
     shared.open_records[idx].store(shard.open_records() as u64, Ordering::SeqCst);
-    shared.stashed[idx].store(stash.len() as u64, Ordering::SeqCst);
+    shared.stashed[idx].store(stash.records(), Ordering::SeqCst);
 }
 
 fn make_ack(
     seq: u64,
     shard: &mut Tiresias,
-    stash: &[(String, u64)],
+    stash: &CellStash,
     cursor: &mut u64,
     loads: Vec<(String, f64)>,
     error: Option<CoreError>,
-    timeunit: u64,
 ) -> ShardAck {
     // Per-shard synthetic root events (level 0) are dropped, exactly as
     // the offline merge drops them (the shard root is not invariant).
@@ -1549,7 +1591,7 @@ fn make_ack(
     ShardAck {
         seq,
         events: new,
-        stash_max: stash.iter().map(|&(_, t)| t / timeunit).max(),
+        stash_max: stash.max_unit(),
         units_processed: shard.units_processed(),
         loads,
         error,
@@ -1585,6 +1627,15 @@ mod tests {
         batch
     }
 
+    /// Admits `records` as one [`RecordBatch`].
+    fn admit_all(handle: &IngestHandle, records: &[(String, u64)], outcomes: &mut Vec<Admission>) {
+        let mut batch = RecordBatch::new();
+        for (path, t) in records {
+            batch.push_str(path, *t).unwrap();
+        }
+        handle.admit_batch(&mut batch, outcomes).unwrap();
+    }
+
     fn offline_replay(records: &[(String, u64)], shards: usize, close_to: u64) -> ShardedTiresias {
         let mut engine = builder().shards(shards).build_sharded().unwrap();
         engine.push_batch(records).unwrap();
@@ -1610,8 +1661,7 @@ mod tests {
         // Admit in small chunks, closing progressively like a
         // scheduler would.
         for (i, chunk) in records.chunks(97).enumerate() {
-            let mut owned: Vec<(String, u64)> = chunk.to_vec();
-            handle.admit_batch(&mut owned, &mut outcomes).unwrap();
+            admit_all(&handle, chunk, &mut outcomes);
             assert!(outcomes.iter().all(|&o| o == Admission::Accepted));
             if i % 3 == 2 {
                 let target = chunk.last().unwrap().1 / 900;
@@ -1713,11 +1763,9 @@ mod tests {
         let handle = live.handle();
         let mut outcomes = Vec::new();
         let split = records.iter().position(|&(_, t)| t >= 6 * 900).unwrap();
-        let mut first: Vec<(String, u64)> = records[..split].to_vec();
-        handle.admit_batch(&mut first, &mut outcomes).unwrap();
+        admit_all(&handle, &records[..split], &mut outcomes);
         live.close_to(6).unwrap();
-        let mut second: Vec<(String, u64)> = records[split..].to_vec();
-        handle.admit_batch(&mut second, &mut outcomes).unwrap();
+        admit_all(&handle, &records[split..], &mut outcomes);
         live.close_to(10).unwrap();
 
         let finished = live.finish().unwrap();
@@ -1742,8 +1790,7 @@ mod tests {
             .unwrap();
         let handle = live.handle();
         let mut outcomes = Vec::new();
-        let mut first: Vec<(String, u64)> = records[..split].to_vec();
-        handle.admit_batch(&mut first, &mut outcomes).unwrap();
+        admit_all(&handle, &records[..split], &mut outcomes);
         live.close_to(4).unwrap();
         let drained = live.finish().unwrap();
         let json = serde_json::to_string(&drained).expect("serialises");
@@ -1753,8 +1800,7 @@ mod tests {
         let resumed: ShardedTiresias = serde_json::from_str(&json).expect("deserialises");
         let mut live = resumed.into_live(DEFAULT_MAX_AHEAD_UNITS).unwrap();
         let handle = live.handle();
-        let mut second: Vec<(String, u64)> = records[split..].to_vec();
-        handle.admit_batch(&mut second, &mut outcomes).unwrap();
+        admit_all(&handle, &records[split..], &mut outcomes);
         live.close_to(10).unwrap();
         let finished = live.finish().unwrap();
 
@@ -1783,9 +1829,8 @@ mod tests {
                 scope.spawn(move || {
                     let mut outcomes = Vec::new();
                     for chunk in records.iter().skip(c).step_by(8).collect::<Vec<_>>().chunks(13) {
-                        let mut owned: Vec<(String, u64)> =
-                            chunk.iter().map(|&r| r.clone()).collect();
-                        handle.admit_batch(&mut owned, &mut outcomes).unwrap();
+                        let owned: Vec<(String, u64)> = chunk.iter().map(|&r| r.clone()).collect();
+                        admit_all(&handle, &owned, &mut outcomes);
                         assert!(outcomes.iter().all(|&o| o == Admission::Accepted));
                     }
                 });
@@ -1906,8 +1951,7 @@ mod tests {
         let handle = live.handle();
         let mut outcomes = Vec::new();
         for (i, chunk) in records.chunks(101).enumerate() {
-            let mut owned: Vec<(String, u64)> = chunk.to_vec();
-            handle.admit_batch(&mut owned, &mut outcomes).unwrap();
+            admit_all(&handle, chunk, &mut outcomes);
             if i % 2 == 1 {
                 live.close_to(chunk.last().unwrap().1 / 900).unwrap();
             }
@@ -1931,8 +1975,8 @@ mod tests {
         let handle = live.handle();
         for entry in recovered.entries {
             match entry {
-                WalEntry::Batch { mut records, .. } => {
-                    handle.admit_batch(&mut records, &mut outcomes).unwrap();
+                WalEntry::Batch { records, .. } => {
+                    admit_all(&handle, &records, &mut outcomes);
                     assert!(outcomes.iter().all(|&o| o == Admission::Accepted));
                 }
                 WalEntry::Close { target, .. } => {
@@ -1961,11 +2005,13 @@ mod tests {
             .unwrap();
         let handle = live.handle();
         let mut outcomes = Vec::new();
-        let mut batch = vec![("TV/NoService".to_string(), 5u64)];
+        let mut batch = RecordBatch::new();
+        batch.push_str("TV/NoService", 5).unwrap();
         handle.admit_batch(&mut batch, &mut outcomes).unwrap();
 
         std::fs::remove_dir_all(&dir).unwrap();
-        let mut batch = vec![("TV/NoService".to_string(), 6u64)];
+        let mut batch = RecordBatch::new();
+        batch.push_str("TV/NoService", 6).unwrap();
         let err = handle.admit_batch(&mut batch, &mut outcomes).unwrap_err();
         assert!(matches!(err, CoreError::WalUnavailable(_)), "{err}");
         assert!(!handle.is_closed(), "a WAL hiccup is not a teardown");
@@ -1975,7 +2021,8 @@ mod tests {
 
         // While paused, batches refuse up front without touching the
         // log (and keep counting).
-        let mut batch = vec![("TV/NoService".to_string(), 7u64)];
+        let mut batch = RecordBatch::new();
+        batch.push_str("TV/NoService", 7).unwrap();
         let err = handle.admit_batch(&mut batch, &mut outcomes).unwrap_err();
         assert!(matches!(err, CoreError::WalUnavailable(_)), "{err}");
         assert_eq!(handle.wal_errors(), 2);
@@ -1985,7 +2032,8 @@ mod tests {
         // drained or restarted.
         std::fs::create_dir_all(&dir).unwrap();
         handle.set_wal_paused(false);
-        let mut batch = vec![("TV/NoService".to_string(), 8u64)];
+        let mut batch = RecordBatch::new();
+        batch.push_str("TV/NoService", 8).unwrap();
         handle.admit_batch(&mut batch, &mut outcomes).unwrap();
         assert_eq!(outcomes, [Admission::Accepted]);
         assert_eq!(handle.admitted(), 2, "only the logged records were acknowledged");
@@ -2021,8 +2069,7 @@ mod tests {
         let handle = live.handle();
         let mut outcomes = Vec::new();
         for chunk in records.chunks(257) {
-            let mut owned: Vec<(String, u64)> = chunk.to_vec();
-            handle.admit_batch(&mut owned, &mut outcomes).unwrap();
+            admit_all(&handle, chunk, &mut outcomes);
             live.close_to(chunk.last().unwrap().1 / 900).unwrap();
         }
         live.close_to(12).unwrap();
@@ -2080,8 +2127,7 @@ mod tests {
         let handle = live.handle();
         let mut outcomes = Vec::new();
         for (i, chunk) in records.chunks(151).enumerate() {
-            let mut owned: Vec<(String, u64)> = chunk.to_vec();
-            handle.admit_batch(&mut owned, &mut outcomes).unwrap();
+            admit_all(&handle, chunk, &mut outcomes);
             assert!(outcomes.iter().all(|&o| o == Admission::Accepted));
             if i % 2 == 1 {
                 live.close_to(chunk.last().unwrap().1 / 900).unwrap();
@@ -2099,6 +2145,41 @@ mod tests {
         assert_eq!(finished.anomalies(), offline.anomalies());
         assert_eq!(finished.heavy_hitter_paths(), offline.heavy_hitter_paths());
         assert_eq!(finished.tree_paths(), offline.tree_paths());
+    }
+
+    #[test]
+    fn barrier_acks_carry_loads_only_while_rebalancing_is_on() {
+        // `shard_balance` is computed from the loads the barrier acks
+        // carry and stays at its "never measured" 0.0 while they carry
+        // none — so it shows, from outside the workers, whether they
+        // computed `top_level_unit_loads`.
+        let paths = ["TV/NoService", "Net/Slow", "Phone/Dead", "Mail/Bounce", "Web/500"];
+        let records = burst_batch(&paths, 6, 5);
+        let mut live = builder()
+            .shards(4)
+            .build_sharded()
+            .unwrap()
+            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .unwrap();
+        let handle = live.handle();
+        let mut outcomes = Vec::new();
+        let split = records.iter().position(|&(_, t)| t >= 3 * 900).unwrap();
+        admit_all(&handle, &records[..split], &mut outcomes);
+        live.close_to(3).unwrap();
+        assert_eq!(live.units_processed(), 3);
+        assert_eq!(live.shard_balance(), 0.0, "off: three barriers, no loads in any ack");
+        assert_eq!(handle.shard_balance(), 0.0);
+
+        live.set_rebalance(RebalanceConfig::enabled());
+        admit_all(&handle, &records[split..], &mut outcomes);
+        live.close_to(6).unwrap();
+        assert!(live.shard_balance() >= 1.0, "on: the acks carried the epoch's loads");
+
+        live.set_rebalance(RebalanceConfig::default());
+        let before = live.shard_balance();
+        handle.admit("TV/NoService", 6 * 900).unwrap();
+        live.close_to(7).unwrap();
+        assert_eq!(live.shard_balance(), before, "off again: nothing new measured");
     }
 
     #[test]
@@ -2122,8 +2203,7 @@ mod tests {
         let handle = live.handle();
         let mut outcomes = Vec::new();
         let split = records.iter().position(|&(_, t)| t >= 5 * 900).unwrap();
-        let mut first: Vec<(String, u64)> = records[..split].to_vec();
-        handle.admit_batch(&mut first, &mut outcomes).unwrap();
+        admit_all(&handle, &records[..split], &mut outcomes);
         // A stashed future record for a label about to move migrates
         // with its subtree.
         assert_eq!(handle.admit("TV/NoService", 7 * 900).unwrap(), Admission::Accepted);
@@ -2134,8 +2214,7 @@ mod tests {
         live.close_to(5).unwrap();
         assert!(live.rebalances() > 0);
         assert_eq!(live.pinned_labels(), 4);
-        let mut second: Vec<(String, u64)> = records[split..].to_vec();
-        handle.admit_batch(&mut second, &mut outcomes).unwrap();
+        admit_all(&handle, &records[split..], &mut outcomes);
         live.close_to(10).unwrap();
 
         let finished = live.finish().unwrap();

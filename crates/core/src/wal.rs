@@ -69,24 +69,34 @@ pub const FRAME_HEADER_BYTES: u64 = 8;
 /// server's flush size, far below this).
 const MAX_FRAME_BYTES: u32 = 64 << 20;
 
-/// IEEE CRC-32 (the zlib/PNG polynomial), table-driven. Shared with
-/// the segment tier so both on-disk formats carry the same checksum.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
+/// Longest category path a batch frame can hold: the record block's
+/// length field is a `u16`. [`crate::RecordBatch`] refuses longer
+/// paths where they enter, so [`encode_record`] never has to cut one.
+pub const MAX_PATH_BYTES: usize = u16::MAX as usize;
+
+/// The CRC-32 lookup table, built at compile time.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    });
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// IEEE CRC-32 (the zlib/PNG polynomial), table-driven — the one
+/// checksum of the WAL, the segment tier and wire protocol v2.
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -211,6 +221,8 @@ struct WalInner {
     last_sync: Instant,
     /// Frames appended since the last fsync.
     dirty: bool,
+    /// The frame being assembled, recycled across appends.
+    frame: Vec<u8>,
 }
 
 /// The append-only write-ahead log. Cheap to share (`Arc<Wal>`);
@@ -436,6 +448,7 @@ impl Wal {
                 next_seq,
                 last_sync: Instant::now(),
                 dirty: false,
+                frame: Vec::new(),
             }),
             bytes: AtomicU64::new(on_disk),
             fsyncs: AtomicU64::new(0),
@@ -476,19 +489,28 @@ impl Wal {
         }
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let seq = inner.next_seq;
-        let mut payload = Vec::with_capacity(13 + records.len());
-        payload.push(KIND_BATCH);
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(&count.to_le_bytes());
-        payload.extend_from_slice(records);
-        self.append_frame(&mut inner, &payload)?;
+        let mut frame = begin_frame(&mut inner, KIND_BATCH, seq);
+        frame.extend_from_slice(&count.to_le_bytes());
+        frame.extend_from_slice(records);
+        self.append_frame(&mut inner, frame)?;
         Ok(seq)
     }
 
     /// Appends one batch of `(path, t_secs)` records (convenience for
     /// tests and recovery tooling; the server path uses
     /// [`Wal::append_batch_raw`]).
+    ///
+    /// # Errors
+    ///
+    /// Besides I/O failures, refuses (`InvalidInput`, nothing written)
+    /// a batch holding a path longer than [`MAX_PATH_BYTES`].
     pub fn append_batch(&self, records: &[(String, u64)]) -> io::Result<u64> {
+        if let Some((path, _)) = records.iter().find(|(path, _)| path.len() > MAX_PATH_BYTES) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("category path of {} bytes exceeds {MAX_PATH_BYTES}", path.len()),
+            ));
+        }
         let mut buf = Vec::new();
         for (path, t) in records {
             encode_record(&mut buf, path, *t);
@@ -505,32 +527,38 @@ impl Wal {
         }
         let mut inner = self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let seq = inner.next_seq;
-        let mut payload = Vec::with_capacity(17);
-        payload.push(KIND_CLOSE);
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(&target.to_le_bytes());
-        self.append_frame(&mut inner, &payload)?;
+        let mut frame = begin_frame(&mut inner, KIND_CLOSE, seq);
+        frame.extend_from_slice(&target.to_le_bytes());
+        self.append_frame(&mut inner, frame)?;
         Ok(seq)
     }
 
-    fn append_frame(&self, inner: &mut WalInner, payload: &[u8]) -> io::Result<()> {
+    /// Seals `frame` (header space + payload, from [`begin_frame`]) and
+    /// appends it, handing the buffer back to `inner` for the next one.
+    fn append_frame(&self, inner: &mut WalInner, mut frame: Vec<u8>) -> io::Result<()> {
         let t0 = self.t_append.get().map(|_| Instant::now());
-        let result = self.append_frame_inner(inner, payload);
+        let result = self.append_frame_inner(inner, &mut frame);
+        inner.frame = frame;
         if let (Some(t0), Some(hist)) = (t0, self.t_append.get()) {
             hist.record_duration(t0.elapsed());
         }
         result
     }
 
-    fn append_frame_inner(&self, inner: &mut WalInner, payload: &[u8]) -> io::Result<()> {
+    fn append_frame_inner(&self, inner: &mut WalInner, frame: &mut [u8]) -> io::Result<()> {
         if inner.segment_len >= self.segment_bytes {
             self.rotate(inner)?;
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        inner.file.write_all(&frame)?;
+        // The payload was written once, behind the reserved header;
+        // length and CRC are patched in place.
+        let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES as usize);
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_FRAME_BYTES)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "WAL frame too large"))?;
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        inner.file.write_all(frame)?;
         inner.segment_len += frame.len() as u64;
         inner.dirty = true;
         self.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
@@ -668,15 +696,32 @@ impl Wal {
     }
 }
 
+/// Starts a frame in `inner`'s recycled buffer: the reserved header
+/// bytes, then the payload's kind byte and sequence number.
+fn begin_frame(inner: &mut WalInner, kind: u8, seq: u64) -> Vec<u8> {
+    let mut frame = std::mem::take(&mut inner.frame);
+    frame.clear();
+    frame.extend_from_slice(&[0u8; FRAME_HEADER_BYTES as usize]);
+    frame.push(kind);
+    frame.extend_from_slice(&seq.to_le_bytes());
+    frame
+}
+
 /// Encodes one record as the batch-frame body block
 /// (`t: u64 LE, path_len: u16 LE, path bytes`). The admission path
 /// calls this while classifying records so logging is one append.
+///
+/// # Panics
+///
+/// Panics if `path` is longer than [`MAX_PATH_BYTES`]. Every way into
+/// the engine refuses such a path first ([`crate::RecordBatch`], the
+/// wire parsers' 4 KiB cap), so the log can never hold a different
+/// path than the one that was acknowledged.
 pub fn encode_record(buf: &mut Vec<u8>, path: &str, t_secs: u64) {
+    let len = u16::try_from(path.len()).expect("paths are capped at MAX_PATH_BYTES on entry");
     buf.extend_from_slice(&t_secs.to_le_bytes());
-    let bytes = path.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
-    buf.extend_from_slice(&bytes[..len]);
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(path.as_bytes());
 }
 
 #[cfg(test)]

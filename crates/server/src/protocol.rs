@@ -106,6 +106,35 @@ pub enum Request {
     Shutdown,
 }
 
+/// Longest category path a `PUSH` may carry — wire v2's label cap, so
+/// both protocols admit the same paths (and far below what the
+/// write-ahead log's record format can hold).
+pub const MAX_PATH_BYTES: usize = v2::MAX_LABEL_BYTES as usize;
+
+/// Longest request line a session buffers: the longest legal `PUSH`
+/// (a [`MAX_PATH_BYTES`] path, the command word, a 20-digit timestamp)
+/// with room to spare. A longer line is answered `ERR` and skipped.
+pub const MAX_LINE_BYTES: usize = MAX_PATH_BYTES + 64;
+
+/// Splits a request line into its command word and trimmed operands.
+fn split_command(line: &str) -> (&str, &str) {
+    match line.split_once(char::is_whitespace) {
+        Some((command, rest)) => (command, rest.trim()),
+        None => (line, ""),
+    }
+}
+
+/// The borrowed form of a `PUSH` line, for the session hot path:
+/// `Some` with the parsed `(path, timestamp)` — or the reason it is
+/// malformed — when `line` is a `PUSH`, `None` for any other request.
+/// Agrees with [`parse_request`] on every line.
+pub(crate) fn parse_push(line: &str) -> Option<Result<(&str, u64), String>> {
+    match split_command(line.trim()) {
+        ("PUSH", rest) => Some(split_push(rest)),
+        _ => None,
+    }
+}
+
 /// Parses one request line. Returns `Ok(None)` for blank lines (which
 /// are ignored) and `Err` with a human-readable reason for malformed
 /// input — the reason is sent back verbatim in the `ERR` reply.
@@ -114,10 +143,7 @@ pub fn parse_request(line: &str) -> Result<Option<Request>, String> {
     if line.is_empty() {
         return Ok(None);
     }
-    let (command, rest) = match line.split_once(char::is_whitespace) {
-        Some((c, r)) => (c, r.trim()),
-        None => (line, ""),
-    };
+    let (command, rest) = split_command(line);
     match command {
         "PUSH" => {
             let (path, t_secs) = split_push(rest)?;
@@ -172,25 +198,21 @@ pub(crate) fn split_push(rest: &str) -> Result<(&str, u64), String> {
     // whitespace, so no whitespace of any kind (ASCII or Unicode) can
     // follow that space and the slow path below would split at the same
     // position. Well-formed `PUSH` lines always take this path.
-    if let Some(i) = crate::scan::rfind_space(rest.as_bytes()) {
-        let ts = &rest[i + 1..];
-        if !ts.is_empty() && ts.bytes().all(|b| b.is_ascii_digit()) {
-            let path = rest[..i].trim();
-            if path.is_empty() {
-                return Err("PUSH category path is empty".to_string());
-            }
-            let t_secs = ts
-                .parse::<u64>()
-                .map_err(|_| format!("PUSH timestamp `{ts}` is not a non-negative integer"))?;
-            return Ok((path, t_secs));
-        }
-    }
-    let Some((path, ts)) = rest.rsplit_once(char::is_whitespace) else {
+    let fast = crate::scan::rfind_space(rest.as_bytes())
+        .map(|i| (&rest[..i], &rest[i + 1..]))
+        .filter(|(_, ts)| !ts.is_empty() && ts.bytes().all(|b| b.is_ascii_digit()));
+    let Some((path, ts)) = fast.or_else(|| rest.rsplit_once(char::is_whitespace)) else {
         return Err("PUSH needs a category path and a timestamp".to_string());
     };
     let path = path.trim();
     if path.is_empty() {
         return Err("PUSH category path is empty".to_string());
+    }
+    if path.len() > MAX_PATH_BYTES {
+        return Err(format!(
+            "PUSH category path of {} bytes exceeds the {MAX_PATH_BYTES}-byte bound",
+            path.len()
+        ));
     }
     let t_secs = ts
         .parse::<u64>()
@@ -283,6 +305,39 @@ mod tests {
             parse_request("  PUSH a/b 0 ").unwrap(),
             Some(Request::Push { path: "a/b".to_string(), t_secs: 0 })
         );
+    }
+
+    #[test]
+    fn push_refuses_paths_over_the_label_cap() {
+        // Multi-byte, so a byte-level cut would land inside a char.
+        let fits = "é".repeat(MAX_PATH_BYTES / 2);
+        assert_eq!(
+            parse_request(&format!("PUSH {fits} 7")).unwrap(),
+            Some(Request::Push { path: fits.clone(), t_secs: 7 })
+        );
+        let long = format!("{fits}é");
+        for line in [format!("PUSH {long} 7"), format!("PUSH {long} +7")] {
+            let why = parse_request(&line).unwrap_err();
+            assert!(why.contains("4098 bytes exceeds the 4096-byte bound"), "{why}");
+            assert_eq!(parse_push(&line), Some(Err(why)));
+        }
+    }
+
+    #[test]
+    fn parse_push_agrees_with_parse_request() {
+        for line in ["PUSH a/b 12", "  PUSH TV/No Service 9 ", "PUSH", "PUSH x", "PUSH a/b 1.5"] {
+            let borrowed = parse_push(line).expect("a PUSH line");
+            match parse_request(line) {
+                Ok(Some(Request::Push { path, t_secs })) => {
+                    assert_eq!(borrowed, Ok((path.as_str(), t_secs)), "{line:?}");
+                }
+                Err(why) => assert_eq!(borrowed, Err(why), "{line:?}"),
+                other => panic!("{line:?} parsed as {other:?}"),
+            }
+        }
+        for line in ["", "  ", "PUSHX a 1", "push a 1", "STATS", "QUERY 1 2"] {
+            assert_eq!(parse_push(line), None, "{line:?}");
+        }
     }
 
     #[test]

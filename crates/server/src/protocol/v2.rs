@@ -53,6 +53,7 @@
 //! is the resync point. [`MAX_DICT_ENTRIES`] bounds a session's
 //! dictionary; a frame pushing past it is malformed.
 
+use tiresias_core::RecordBatch;
 use tiresias_hierarchy::FxHashMap;
 
 /// Frame magic: `"T2"`.
@@ -71,27 +72,9 @@ pub const MAX_LABEL_BYTES: u64 = 4096;
 /// connection).
 pub const MAX_DICT_ENTRIES: usize = 1 << 20;
 
-/// IEEE CRC-32 (the zlib/PNG polynomial), table-driven — the same
-/// checksum the WAL and segment tiers use on disk.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        t
-    });
-    let mut c = !0u32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// IEEE CRC-32 (the zlib/PNG polynomial) — the same function the WAL
+/// and segment tiers checksum with on disk.
+pub use tiresias_core::crc32;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,6 +286,82 @@ impl FrameEncoder {
     }
 }
 
+/// The receiving half: owns the per-connection label dictionary and
+/// decodes DATA payloads straight into a flat [`RecordBatch`].
+///
+/// A record reaches the batch as `(path index, timestamp)` without a
+/// hash or an allocation: the decoder keeps one slot per dictionary id
+/// that maps it to the label's entry in the batch being filled, so
+/// only the *first* use of a label in a frame copies its bytes.
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    dict: Vec<String>,
+    /// Per dictionary id: 1 + the label's path index in the batch being
+    /// filled, 0 while the current frame has not used the label.
+    slots: Vec<u32>,
+    /// The ids whose slot the current frame set (reset afterwards).
+    used: Vec<u32>,
+}
+
+impl FrameDecoder {
+    /// A fresh decoder with an empty dictionary (one per connection).
+    pub fn new() -> FrameDecoder {
+        FrameDecoder::default()
+    }
+
+    /// Distinct labels received so far.
+    pub fn dict_len(&self) -> usize {
+        self.dict.len()
+    }
+
+    /// Decodes one DATA payload: appends its new dictionary entries,
+    /// then appends every record to `batch`. Returns how many entries
+    /// the dictionary grew by.
+    ///
+    /// # Errors
+    ///
+    /// Any malformed input, with the reason for the `ERR` reply. The
+    /// dictionary and `batch` may then hold part of the frame — the
+    /// connection is desynchronised and must close (see the module
+    /// docs), and the caller discards the batch.
+    pub fn decode_data(
+        &mut self,
+        payload: &[u8],
+        batch: &mut RecordBatch,
+    ) -> Result<usize, String> {
+        let (new_entries, offset) = decode_dict(payload, &mut self.dict)?;
+        self.slots.resize(self.dict.len(), 0);
+        let decoded = self.decode_records(payload, offset, batch);
+        for id in self.used.drain(..) {
+            self.slots[id as usize] = 0;
+        }
+        decoded.map(|()| new_entries)
+    }
+
+    /// The record section: each record's id goes through its slot to
+    /// the label's entry in `batch` (made on the frame's first use).
+    fn decode_records(
+        &mut self,
+        payload: &[u8],
+        offset: usize,
+        batch: &mut RecordBatch,
+    ) -> Result<(), String> {
+        for item in records(payload, offset, self.dict.len())? {
+            let (id, t_secs) = item?;
+            let slot = &mut self.slots[id as usize];
+            if *slot == 0 {
+                let path = batch
+                    .add_path(&self.dict[id as usize])
+                    .expect("labels are capped at MAX_LABEL_BYTES, below the batch's own bound");
+                *slot = path + 1;
+                self.used.push(id);
+            }
+            batch.push(*slot - 1, t_secs);
+        }
+        Ok(())
+    }
+}
+
 /// Consumes a DATA payload's dictionary section, appending the new
 /// entries to `dict` (ids are implicit: entry order). Returns the
 /// number of new entries and the offset where the record section
@@ -480,6 +539,36 @@ mod tests {
             |b: &[(&str, u64)]| b.iter().map(|&(l, t)| (l.to_string(), t)).collect::<Vec<_>>();
         assert_eq!(got1, want(&batch1));
         assert_eq!(got2, want(&batch2));
+    }
+
+    #[test]
+    fn decoder_fills_a_flat_batch_with_one_entry_per_label_per_frame() {
+        let mut enc = FrameEncoder::new();
+        let mut dec = FrameDecoder::new();
+        let mut batch = RecordBatch::new();
+        let frame1: Vec<(&str, u64)> = vec![("a/x", 100), ("b/y", 90), ("a/x", 110), ("a/x", 5)];
+        let frame2: Vec<(&str, u64)> = vec![("b/y", 7), ("c/z", 0), ("b/y", u64::MAX)];
+        for (frame, new_entries, distinct) in [(&frame1, 2, 2), (&frame2, 1, 2)] {
+            let mut bytes = Vec::new();
+            enc.encode_data(0, frame, &mut bytes);
+            let (_, payload) = split_frames(&bytes).pop().unwrap();
+            batch.clear();
+            assert_eq!(dec.decode_data(&payload, &mut batch), Ok(new_entries));
+            assert_eq!(batch.records().collect::<Vec<_>>(), *frame);
+            assert_eq!(batch.distinct_paths(), distinct);
+        }
+        assert_eq!(dec.dict_len(), 3);
+        // A malformed record section errors without wedging the slots.
+        let mut raw = Vec::new();
+        put_uvarint(&mut raw, 0);
+        put_uvarint(&mut raw, 2);
+        put_uvarint(&mut raw, 1);
+        put_uvarint(&mut raw, 0);
+        put_uvarint(&mut raw, 9); // unknown id
+        put_uvarint(&mut raw, 0);
+        batch.clear();
+        assert!(dec.decode_data(&raw, &mut batch).unwrap_err().contains("label id"));
+        assert!(dec.slots.iter().all(|&s| s == 0));
     }
 
     #[test]

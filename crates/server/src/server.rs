@@ -16,7 +16,7 @@
 //! barrier is held.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,16 +27,18 @@ use std::time::{Duration, Instant};
 
 use tiresias_core::{
     load_checkpoint_meta, Admission, AnomalyEvent, CheckpointEngine, IngestHandle, LiveSharded,
-    RebalanceConfig, ReportReader, SegmentStore, TiresiasBuilder, Wal, WalEntry, WalSyncPolicy,
-    DEFAULT_MAX_AHEAD_UNITS, DEFAULT_SEGMENT_BYTES, DEFAULT_WAL_SEGMENT_BYTES,
+    RebalanceConfig, RecordBatch, ReportReader, SegmentStore, TiresiasBuilder, Wal, WalEntry,
+    WalSyncPolicy, DEFAULT_MAX_AHEAD_UNITS, DEFAULT_SEGMENT_BYTES, DEFAULT_WAL_SEGMENT_BYTES,
 };
-use tiresias_hierarchy::{first_segment, first_segment_hash, CategoryPath, FxHashMap};
+use tiresias_hierarchy::{first_segment, CategoryPath, FxHashMap};
 use tiresias_sketch::SpaceSaving;
 use tiresias_telemetry::{Field, MetricsServer, SlowLog};
 
 use crate::error::ServerError;
 use crate::hub::Hub;
-use crate::protocol::{parse_request, v2, Request, DEFAULT_QUERY_LIMIT, MAX_QUERY_LIMIT};
+use crate::protocol::{
+    parse_push, parse_request, v2, Request, DEFAULT_QUERY_LIMIT, MAX_LINE_BYTES, MAX_QUERY_LIMIT,
+};
 use crate::signal;
 use crate::state::{Durability, Inner};
 use crate::telemetry::{self, ProtoCounters, ServerTelemetry};
@@ -181,7 +183,8 @@ pub const DEFAULT_SLOW_MS: u64 = 100;
 
 /// The Space-Saving top-k gauge over top-level path labels: a cheap
 /// answer to "what is hot right now" that costs one sketch update per
-/// admission batch, reported as `STATS top_paths=label:count|…`.
+/// distinct top-level label per admission batch, reported as `STATS
+/// top_paths=label:count|…`.
 struct TopPaths {
     sketch: SpaceSaving,
     /// Label text per monitored key hash (pruned alongside the
@@ -193,13 +196,6 @@ impl TopPaths {
     fn new() -> Self {
         TopPaths { sketch: SpaceSaving::new(TOP_PATHS_CAPACITY), labels: HashMap::new() }
     }
-}
-
-/// Per-batch state of the top-paths gauge: the batch's per-label
-/// aggregation slots (the per-record hash list lives in a session
-/// scratch buffer, reused across batches).
-struct PushGauge {
-    agg: FxHashMap<u64, (u64, String)>,
 }
 
 /// Shared flags and shutdown choreography.
@@ -273,38 +269,26 @@ impl Shared {
         result
     }
 
-    /// First half of the top-paths gauge update, run before admission
-    /// (which drains the batch): per-record label hashes plus a local
-    /// per-label aggregation slot. Fx-hashed — one cheap hash + probe
-    /// per record; one owned label copy per distinct label per batch.
-    fn prepare_push_gauge(&self, batch: &[(String, u64)], hashes: &mut Vec<u64>) -> PushGauge {
-        hashes.clear();
-        let mut agg: FxHashMap<u64, (u64, String)> = FxHashMap::default();
-        for (path, _) in batch {
-            let key = first_segment_hash(path);
-            hashes.push(key);
-            agg.entry(key).or_insert_with(|| (0, first_segment(path).unwrap_or("").to_string()));
-        }
-        PushGauge { agg }
-    }
-
-    /// Second half: counts only the records the engine actually
-    /// **accepted** (late/ahead/refused records must not climb the
-    /// hot-path gauge), then folds the batch's totals into the shared
-    /// sketch under one lock acquisition.
-    fn note_accepted(&self, mut gauge: PushGauge, hashes: &[u64], outcomes: &[Admission]) {
-        for (key, outcome) in hashes.iter().zip(outcomes) {
-            if *outcome == Admission::Accepted {
-                gauge.agg.get_mut(key).expect("every hash was seeded").0 += 1;
+    /// Folds one admitted batch into the top-paths gauge, reading the
+    /// batch's per-distinct-path table instead of its records: only
+    /// what the engine actually **accepted** counts (late/ahead/refused
+    /// records must not climb the hot-path gauge), and the shared
+    /// sketch takes one update per distinct top-level label, all under
+    /// one lock acquisition.
+    fn note_accepted(&self, batch: &RecordBatch) {
+        let mut agg: FxHashMap<u64, (u64, &str)> = FxHashMap::default();
+        for (path, key, accepted) in batch.accepted_by_path() {
+            if accepted > 0 {
+                agg.entry(key).or_insert((0, path)).0 += u64::from(accepted);
             }
+        }
+        if agg.is_empty() {
+            return;
         }
         let mut top = self.top.lock().expect("top-paths lock never poisoned");
-        for (key, (count, label)) in gauge.agg {
-            if count == 0 {
-                continue;
-            }
+        for (key, (count, path)) in agg {
             top.sketch.add(key, count);
-            top.labels.entry(key).or_insert(label);
+            top.labels.entry(key).or_insert_with(|| first_segment(path).unwrap_or("").to_string());
         }
         if top.labels.len() > TOP_PATHS_CAPACITY * 8 {
             let keep: HashSet<u64> =
@@ -684,11 +668,16 @@ fn replay_wal_entries(
     recovered_batches: &mut u64,
 ) -> Result<(), ServerError> {
     let handle = live.handle();
+    let mut batch = RecordBatch::new();
     let mut outcomes: Vec<Admission> = Vec::new();
     for entry in entries {
         match entry {
-            WalEntry::Batch { mut records, .. } => {
-                handle.admit_batch(&mut records, &mut outcomes).map_err(ServerError::Core)?;
+            WalEntry::Batch { records, .. } => {
+                batch.clear();
+                for (path, t_secs) in &records {
+                    batch.push_str(path, *t_secs).map_err(ServerError::Core)?;
+                }
+                handle.admit_batch(&mut batch, &mut outcomes).map_err(ServerError::Core)?;
                 *recovered_batches += 1;
             }
             WalEntry::Close { target, .. } => {
@@ -794,15 +783,16 @@ fn run_session(stream: TcpStream, shared: &Shared, shutdown_result: &Mutex<Optio
     // lag-dropped from the hub (surfaced as `STATS dropped_events=`).
     let dropped_events = Arc::new(AtomicU64::new(0));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = LineBuf::default();
     // Consecutive `PUSH` lines already sitting in the read buffer are
-    // admitted under ONE front-end call (amortising its gate
-    // acquisition and ring hand-off). Replies stay per-record and in
-    // order: the batch is flushed before any non-`PUSH` reply is
-    // produced, so pipelined requests observe everything before them.
-    let mut batch: Vec<(String, u64)> = Vec::new();
+    // parsed straight into ONE flat batch and admitted under one
+    // front-end call (amortising its gate acquisition and ring
+    // hand-off). Replies stay per-record and in order: the batch is
+    // flushed before any non-`PUSH` reply is produced, so pipelined
+    // requests observe everything before them.
+    let mut batch = RecordBatch::new();
     let mut outcomes: Vec<Admission> = Vec::new();
-    let mut gauge_hashes: Vec<u64> = Vec::new();
+    let mut scratch = PushScratch { batch: &mut batch, outcomes: &mut outcomes };
     // Idle reaping: any inbound byte (a complete line, or partial-line
     // progress across read timeouts) counts as activity. Subscribed
     // sessions are exempt — their inbound side is legitimately quiet
@@ -813,142 +803,23 @@ fn run_session(stream: TcpStream, shared: &Shared, shutdown_result: &Mutex<Optio
         if shared.control.stop.load(Ordering::SeqCst) {
             break;
         }
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => loop {
-                last_activity = Instant::now();
-                partial_len = 0;
-                let parsed = parse_request(&line);
-                line.clear();
-                let step = match parsed {
-                    Ok(Some(Request::Push { path, t_secs })) => {
-                        batch.push((path, t_secs));
-                        if batch.len() >= shared.batch_cap
-                            && !flush_push_batch(
-                                &mut batch,
-                                &mut outcomes,
-                                &mut gauge_hashes,
-                                shared,
-                                &tx,
-                                ack,
-                            )
-                        {
-                            break 'session;
-                        }
-                        None
-                    }
-                    other => {
-                        // Admit buffered pushes FIRST: the request's
-                        // side effects (a `STATS` snapshot, an `ack`
-                        // flip, a subscription) must observe — and its
-                        // reply must follow — everything the client
-                        // pipelined before it.
-                        if !flush_push_batch(
-                            &mut batch,
-                            &mut outcomes,
-                            &mut gauge_hashes,
-                            shared,
-                            &tx,
-                            ack,
-                        ) {
-                            break 'session;
-                        }
-                        Some(handle_request(
-                            other,
-                            shared,
-                            &tx,
-                            &mut subscription,
-                            &mut ack,
-                            &dropped_events,
-                        ))
-                    }
-                };
-                if let Some(step) = step {
-                    match step {
-                        SessionStep::Reply(Some(text)) => {
-                            if tx.send(text).is_err() {
-                                break 'session;
-                            }
-                        }
-                        SessionStep::Reply(None) => {}
-                        SessionStep::Disconnect => break 'session,
-                        SessionStep::Close(farewell) => {
-                            let _ = tx.send(farewell);
-                            break 'session;
-                        }
-                        SessionStep::Shutdown => {
-                            let _ = tx.send("OK shutting down".to_string());
-                            record_shutdown(shared, shutdown_result);
-                            break 'session;
-                        }
-                        SessionStep::Upgrade => {
-                            if tx.send("OK upgraded".to_string()).is_err() {
-                                break 'session;
-                            }
-                            shared.proto.text_sessions.fetch_sub(1, Ordering::Relaxed);
-                            shared.proto.v2_sessions.fetch_add(1, Ordering::Relaxed);
-                            in_v2 = true;
-                            let mut scratch = PushScratch {
-                                batch: &mut batch,
-                                outcomes: &mut outcomes,
-                                gauge_hashes: &mut gauge_hashes,
-                            };
-                            let exit = run_v2_frames(
-                                &mut reader,
-                                shared,
-                                &tx,
-                                &mut v2_state,
-                                &mut scratch,
-                                ack,
-                                subscription.is_some(),
-                            );
-                            match exit {
-                                V2Exit::BackToText => {
-                                    shared.proto.v2_sessions.fetch_sub(1, Ordering::Relaxed);
-                                    shared.proto.text_sessions.fetch_add(1, Ordering::Relaxed);
-                                    in_v2 = false;
-                                    last_activity = Instant::now();
-                                    partial_len = 0;
-                                }
-                                V2Exit::Close => break 'session,
-                            }
-                        }
-                    }
-                    break;
-                }
-                // Keep batching while another complete line is already
-                // buffered; otherwise admit what we have and go back to
-                // the (possibly blocking) outer read.
-                if !reader.buffer().contains(&b'\n') {
-                    if !flush_push_batch(
-                        &mut batch,
-                        &mut outcomes,
-                        &mut gauge_hashes,
-                        shared,
-                        &tx,
-                        ack,
-                    ) {
-                        break 'session;
-                    }
-                    break;
-                }
-                if reader.read_line(&mut line).is_err() {
-                    break;
-                }
-            },
-            // A timeout may leave a partial line in `line`; keep it and
+        let overlong = match line.read_from(&mut reader) {
+            Ok(LineRead::Eof) => break,
+            Ok(LineRead::Line) => false,
+            Ok(LineRead::Overlong) => true,
+            // A timeout may leave a partial line buffered; keep it and
             // continue appending on the next read.
             Err(e)
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
                 ) =>
             {
-                if line.len() > partial_len {
+                if line.bytes.len() > partial_len {
                     // A partial line grew: the peer is mid-write.
-                    partial_len = line.len();
+                    partial_len = line.bytes.len();
                     last_activity = Instant::now();
                 }
                 if let Some(limit) = shared.idle_timeout {
@@ -957,8 +828,110 @@ fn run_session(stream: TcpStream, shared: &Shared, shutdown_result: &Mutex<Optio
                         break 'session;
                     }
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        last_activity = Instant::now();
+        partial_len = 0;
+        // A `PUSH` joins the batch; anything else first admits the
+        // buffered pushes: the request's side effects (a `STATS`
+        // snapshot, an `ack` flip, a subscription) must observe — and
+        // its reply must follow — everything the client pipelined
+        // before it.
+        let step = if overlong {
+            if !flush_push_batch(&mut scratch, shared, &tx, ack) {
+                break 'session;
+            }
+            Some(SessionStep::Reply(Some(format!(
+                "ERR line exceeds the {MAX_LINE_BYTES}-byte bound"
+            ))))
+        } else {
+            // Like `read_line`, a line that is not UTF-8 ends the
+            // session.
+            let Ok(text) = std::str::from_utf8(&line.bytes) else { break 'session };
+            match parse_push(text) {
+                Some(Ok((path, t_secs))) => {
+                    scratch
+                        .batch
+                        .push_str(path, t_secs)
+                        .expect("the parser caps paths far below the batch's own bound");
+                    if scratch.batch.len() >= shared.batch_cap
+                        && !flush_push_batch(&mut scratch, shared, &tx, ack)
+                    {
+                        break 'session;
+                    }
+                    None
+                }
+                other => {
+                    if !flush_push_batch(&mut scratch, shared, &tx, ack) {
+                        break 'session;
+                    }
+                    let parsed = match other {
+                        Some(Err(why)) => Err(why),
+                        _ => parse_request(text),
+                    };
+                    Some(handle_request(
+                        parsed,
+                        shared,
+                        &tx,
+                        &mut subscription,
+                        &mut ack,
+                        &dropped_events,
+                    ))
+                }
+            }
+        };
+        line.bytes.clear();
+        match step {
+            None | Some(SessionStep::Reply(None)) => {}
+            Some(SessionStep::Reply(Some(text))) => {
+                if tx.send(text).is_err() {
+                    break 'session;
+                }
+            }
+            Some(SessionStep::Disconnect) => break 'session,
+            Some(SessionStep::Close(farewell)) => {
+                let _ = tx.send(farewell);
+                break 'session;
+            }
+            Some(SessionStep::Shutdown) => {
+                let _ = tx.send("OK shutting down".to_string());
+                record_shutdown(shared, shutdown_result);
+                break 'session;
+            }
+            Some(SessionStep::Upgrade) => {
+                if tx.send("OK upgraded".to_string()).is_err() {
+                    break 'session;
+                }
+                shared.proto.text_sessions.fetch_sub(1, Ordering::Relaxed);
+                shared.proto.v2_sessions.fetch_add(1, Ordering::Relaxed);
+                in_v2 = true;
+                let exit = run_v2_frames(
+                    &mut reader,
+                    shared,
+                    &tx,
+                    &mut v2_state,
+                    &mut scratch,
+                    ack,
+                    subscription.is_some(),
+                );
+                match exit {
+                    V2Exit::BackToText => {
+                        shared.proto.v2_sessions.fetch_sub(1, Ordering::Relaxed);
+                        shared.proto.text_sessions.fetch_add(1, Ordering::Relaxed);
+                        in_v2 = false;
+                        last_activity = Instant::now();
+                    }
+                    V2Exit::Close => break 'session,
+                }
+            }
+        }
+        // Keep batching while another complete line is already
+        // buffered; otherwise admit what we have before the next
+        // (possibly blocking) read.
+        if !reader.buffer().contains(&b'\n') && !flush_push_batch(&mut scratch, shared, &tx, ack) {
+            break 'session;
         }
     }
     if in_v2 {
@@ -973,29 +946,84 @@ fn run_session(stream: TcpStream, shared: &Shared, shutdown_result: &Mutex<Optio
     let _ = writer.join();
 }
 
+/// Outcome of [`LineBuf::read_from`].
+enum LineRead {
+    /// A complete line (or the unterminated tail before EOF) is
+    /// buffered.
+    Line,
+    /// A line longer than [`MAX_LINE_BYTES`] was consumed through its
+    /// newline and dropped.
+    Overlong,
+    /// The peer closed the connection.
+    Eof,
+}
+
+/// A session's text line buffer: `read_line` with a bound. A request
+/// line is never buffered past [`MAX_LINE_BYTES`] — a peer streaming an
+/// endless line costs the session no memory — and the rest of an
+/// over-long line is skipped, so the session survives it.
+#[derive(Default)]
+struct LineBuf {
+    bytes: Vec<u8>,
+    /// The current line already overflowed; its remainder is being
+    /// discarded (survives read timeouts, like the partial line).
+    skipping: bool,
+}
+
+impl LineBuf {
+    /// Appends to the buffered partial line until a newline arrives.
+    /// An `Err` (including the session socket's poll timeout) leaves
+    /// all progress in place for the next call.
+    fn read_from(&mut self, reader: &mut BufReader<TcpStream>) -> io::Result<LineRead> {
+        loop {
+            let available = reader.fill_buf()?;
+            if available.is_empty() {
+                return Ok(match (std::mem::take(&mut self.skipping), self.bytes.is_empty()) {
+                    (true, _) => LineRead::Overlong,
+                    (false, false) => LineRead::Line,
+                    (false, true) => LineRead::Eof,
+                });
+            }
+            let newline = crate::scan::find_newline(available);
+            let chunk = &available[..newline.map_or(available.len(), |at| at + 1)];
+            if !self.skipping {
+                if self.bytes.len() + chunk.len() > MAX_LINE_BYTES {
+                    self.skipping = true;
+                    self.bytes.clear();
+                } else {
+                    self.bytes.extend_from_slice(chunk);
+                }
+            }
+            let used = chunk.len();
+            reader.consume(used);
+            if newline.is_some() {
+                return Ok(if std::mem::take(&mut self.skipping) {
+                    LineRead::Overlong
+                } else {
+                    LineRead::Line
+                });
+            }
+        }
+    }
+}
+
 /// Admits buffered `PUSH`es through the lock-free front-end and sends
 /// their per-record replies in order. Returns `false` if the session's
 /// outbound queue is gone.
 fn flush_push_batch(
-    batch: &mut Vec<(String, u64)>,
-    outcomes: &mut Vec<Admission>,
-    gauge_hashes: &mut Vec<u64>,
+    scratch: &mut PushScratch<'_>,
     shared: &Shared,
     tx: &SyncSender<String>,
     ack: bool,
 ) -> bool {
-    if batch.is_empty() {
+    if scratch.batch.is_empty() {
         return true;
     }
-    // Captured up front: the teardown failure path inside admit_batch
-    // may have drained the batch part-way, but every buffered record
-    // still needs exactly one reply.
-    let buffered = batch.len();
-    let gauge = shared.prepare_push_gauge(batch, gauge_hashes);
-    match shared.front.admit_batch(batch, outcomes) {
+    // Every buffered record gets exactly one reply, whatever happens.
+    let buffered = scratch.batch.len();
+    match scratch.admit(shared) {
         Ok(()) => {
-            shared.note_accepted(gauge, gauge_hashes, outcomes);
-            for outcome in outcomes.drain(..) {
+            for outcome in scratch.outcomes.drain(..) {
                 let reply = match outcome {
                     Admission::Accepted => {
                         if !ack {
@@ -1019,14 +1047,12 @@ fn flush_push_batch(
             // can retry, and always (even under `NOACK`) since like
             // `LATE` this reports dropped records.
             let reply = format!("ERR wal {why}");
-            batch.clear();
             (0..buffered).all(|_| tx.send(reply.clone()).is_ok())
         }
         Err(_closed) => {
             // Draining or fatal: every buffered record is refused with
             // the reason.
             let reply = format!("ERR {}", shared.refusal_reason());
-            batch.clear();
             (0..buffered).all(|_| tx.send(reply.clone()).is_ok())
         }
     }
@@ -1037,11 +1063,11 @@ fn flush_push_batch(
 const TOO_FAR_AHEAD: &str = "ERR record timestamp too far ahead of the open timeunit";
 
 /// A session's v2 decode state: the per-connection label dictionary
-/// plus reusable header/payload scratch, all surviving `END`/`UPGRADE`
-/// round trips on the same connection.
+/// (inside the decoder) plus reusable header/payload scratch, all
+/// surviving `END`/`UPGRADE` round trips on the same connection.
 #[derive(Default)]
 struct V2Session {
-    dict: Vec<String>,
+    decoder: v2::FrameDecoder,
     hdr: [u8; v2::HEADER_BYTES],
     payload: Vec<u8>,
 }
@@ -1049,9 +1075,22 @@ struct V2Session {
 /// The session's push scratch, shared between the text batcher and the
 /// v2 frame loop so neither reallocates per flush.
 struct PushScratch<'a> {
-    batch: &'a mut Vec<(String, u64)>,
+    batch: &'a mut RecordBatch,
     outcomes: &'a mut Vec<Admission>,
-    gauge_hashes: &'a mut Vec<u64>,
+}
+
+impl PushScratch<'_> {
+    /// Admits the batch through the lock-free front-end — leaving one
+    /// outcome per record in `outcomes` — feeds what was accepted to
+    /// the top-paths gauge, and empties the batch for the next fill.
+    fn admit(&mut self, shared: &Shared) -> Result<(), tiresias_core::CoreError> {
+        let admitted = shared.front.admit_batch(self.batch, self.outcomes);
+        if admitted.is_ok() {
+            shared.note_accepted(self.batch);
+        }
+        self.batch.clear();
+        admitted
+    }
 }
 
 /// Why the v2 frame loop handed control back.
@@ -1116,9 +1155,11 @@ fn read_full(
 }
 
 /// The binary inbound loop a session runs after `UPGRADE`: reads v2
-/// frames, decodes DATA frames straight into the session's push batch
+/// frames, decodes DATA frames straight into the session's flat batch
 /// (one `admit_batch` call per frame — the per-record reply formatting
-/// and per-line parsing of the text path are gone), and answers with
+/// and per-line parsing of the text path are gone, and a record is a
+/// dictionary id plus a timestamp all the way to admission), and
+/// answers with
 /// one text line per frame. Replies stay text in v2 mode, so broadcast
 /// `EVENT` frames keep flowing through the same writer thread.
 ///
@@ -1179,19 +1220,20 @@ fn run_v2_frames(
                     let _ = tx.send(format!("ERR frame={} payload CRC mismatch", header.seq));
                     return V2Exit::Close;
                 }
-                let decoded = (|| -> Result<(), String> {
-                    let (new_entries, offset) = v2::decode_dict(&v2s.payload, &mut v2s.dict)?;
-                    shared.proto.v2_dict_entries.fetch_add(new_entries as u64, Ordering::Relaxed);
-                    for item in v2::records(&v2s.payload, offset, v2s.dict.len())? {
-                        let (id, t_secs) = item?;
-                        scratch.batch.push((v2s.dict[id as usize].clone(), t_secs));
-                    }
-                    Ok(())
-                })();
+                let decoded = v2s.decoder.decode_data(&v2s.payload, scratch.batch);
                 shared.telem.v2_decode.record_duration(decode_started.elapsed());
-                if let Err(why) = decoded {
-                    let _ = tx.send(format!("ERR frame={} {why}", header.seq));
-                    return V2Exit::Close;
+                match decoded {
+                    Ok(new_entries) => {
+                        shared
+                            .proto
+                            .v2_dict_entries
+                            .fetch_add(new_entries as u64, Ordering::Relaxed);
+                    }
+                    Err(why) => {
+                        scratch.batch.clear();
+                        let _ = tx.send(format!("ERR frame={} {why}", header.seq));
+                        return V2Exit::Close;
+                    }
                 }
                 if !flush_v2_frame(scratch, shared, tx, ack, header.seq) {
                     return V2Exit::Close;
@@ -1217,10 +1259,8 @@ fn flush_v2_frame(
     if scratch.batch.is_empty() {
         return !ack || tx.send(format!("OK frame={seq} n=0 late=0 ahead=0")).is_ok();
     }
-    let gauge = shared.prepare_push_gauge(scratch.batch, scratch.gauge_hashes);
-    match shared.front.admit_batch(scratch.batch, scratch.outcomes) {
+    match scratch.admit(shared) {
         Ok(()) => {
-            shared.note_accepted(gauge, scratch.gauge_hashes, scratch.outcomes);
             let (mut n, mut late, mut ahead) = (0u64, 0u64, 0u64);
             for outcome in scratch.outcomes.drain(..) {
                 match outcome {
@@ -1238,13 +1278,9 @@ fn flush_v2_frame(
         Err(tiresias_core::CoreError::WalUnavailable(why)) => {
             // Nothing was admitted; the dictionaries still agree, so
             // the session survives for a retry once the log recovers.
-            scratch.batch.clear();
             tx.send(format!("ERR frame={seq} wal {why}")).is_ok()
         }
-        Err(_closed) => {
-            scratch.batch.clear();
-            tx.send(format!("ERR frame={seq} {}", shared.refusal_reason())).is_ok()
-        }
+        Err(_closed) => tx.send(format!("ERR frame={seq} {}", shared.refusal_reason())).is_ok(),
     }
 }
 

@@ -704,10 +704,10 @@ mod tests {
         let mut s = inner(10_000);
         let handle = s.handle();
         let mut outcomes = Vec::new();
-        let mut records: Vec<(String, u64)> = Vec::new();
+        let mut records = tiresias_core::RecordBatch::new();
         for u in 0..5u64 {
             for i in 0..8 {
-                records.push(("a/x".to_string(), u * 60 + i));
+                records.push_str("a/x", u * 60 + i).unwrap();
             }
         }
         handle.admit_batch(&mut records, &mut outcomes).unwrap();

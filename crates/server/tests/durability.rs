@@ -263,6 +263,54 @@ fn crash_image_replays_the_wal_into_the_acked_stream() {
 }
 
 #[test]
+fn oversized_paths_are_refused_and_later_records_survive_a_restart() {
+    let live_dir = tempdir("oversize-live");
+    let crash_dir = tempdir("oversize-image");
+    let records = workload(10, 6, 8, &[0, 3]);
+    let expected = offline_event_frames(&records);
+    assert!(expected.len() >= 2, "the workload produces anomalies: {expected:?}");
+    let (before, after) = records.split_at(records.len() / 2);
+
+    let server = Server::start(config(&live_dir)).expect("server starts");
+    feed(&server, before);
+
+    // A path of two-byte characters past the WAL record format's
+    // 65 535-byte length field: logged truncated, the cut would land
+    // inside a character, the frame would fail to decode at recovery
+    // and take every later acked frame with it. It is refused at the
+    // door instead — as a line too long to buffer — and so is a path
+    // that fits a line but not the 4 KiB label cap.
+    let mut client = Client::connect(&server);
+    let t = after[0].1;
+    let reply = client.roundtrip(&format!("PUSH {} {t}", "é".repeat(35_000)));
+    assert!(reply.starts_with("ERR line exceeds"), "{reply}");
+    let reply = client.roundtrip(&format!("PUSH {} {t}", "é".repeat(2_049)));
+    assert!(reply.starts_with("ERR PUSH category path of 4098 bytes exceeds"), "{reply}");
+    // The session survives both and keeps admitting.
+    assert_eq!(client.roundtrip(&format!("PUSH {} {t}", after[0].0)), "OK");
+    client.send("QUIT");
+    feed_and_settle(&server, &after[1..], expected.len());
+
+    snapshot(&live_dir, &crash_dir);
+    let mut killer = Client::connect(&server);
+    killer.send("SHUTDOWN");
+    server.join().expect("clean shutdown");
+
+    // Everything acked after the refused paths is still there after a
+    // crash: the WAL holds exactly the acked records.
+    let revived = Server::start(config(&crash_dir)).expect("server recovers");
+    wait_for_stats(&revived, |s| s.contains(&format!("events={} ", expected.len())));
+    let mut client = Client::connect(&revived);
+    let (frames, _) = client.query("QUERY 0 9999");
+    assert_eq!(frames, expected, "post-crash QUERY equals the offline replay exactly");
+
+    client.send("SHUTDOWN");
+    revived.join().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&live_dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
+}
+
+#[test]
 fn clean_shutdown_checkpoints_atomically_and_ignores_torn_tmp() {
     let dir = tempdir("clean");
     let records = workload(10, 6, 8, &[1]);
