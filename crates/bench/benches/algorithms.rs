@@ -73,7 +73,7 @@ fn bench_split_rules(c: &mut Criterion) {
     let mut stats = SplitStats::with_len(tree.len());
     for u in 0..8 {
         let agg = aggregate_weights(tree, &workload.generate_unit(u));
-        stats.record_unit(&agg, 0.4);
+        stats.record_unit(&agg, Some(0.4));
     }
     let children = tree.children(tree.root()).to_vec();
     let mut group = c.benchmark_group("split_ratios");

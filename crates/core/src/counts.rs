@@ -88,6 +88,12 @@ impl DenseCounts {
         &self.counts
     }
 
+    /// Every slot index that received a count, in first-touch order — a
+    /// superset of the slots with a non-zero count.
+    pub fn touched(&self) -> &[u32] {
+        &self.touched
+    }
+
     /// Splits the pending counts along a tree compaction (subtree
     /// rebalancing): entries whose index maps to a moved slot through
     /// `slot_of` are returned as `(slot, count)` pairs, and the

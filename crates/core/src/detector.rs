@@ -428,7 +428,7 @@ impl Tiresias {
         let before_seq = self.store.next_seq();
         let unit = self.open_unit.unwrap_or(0);
         if direct.len() >= self.tree.len() {
-            self.process_closed_unit(unit, direct)?;
+            self.process_closed_unit(unit, direct, None)?;
         } else {
             // Zero-pad into the (empty, recycled) open-counts buffer.
             let mut scratch = self.open_counts.take();
@@ -438,7 +438,7 @@ impl Tiresias {
                     scratch.add(i, w);
                 }
             }
-            let result = self.process_closed_unit(unit, scratch.dense());
+            let result = self.process_closed_unit(unit, scratch.dense(), Some(scratch.touched()));
             scratch.reset();
             self.open_counts = scratch;
             result?;
@@ -636,7 +636,7 @@ impl Tiresias {
         while open < target {
             let mut counts = self.open_counts.take();
             counts.ensure_len(self.tree.len());
-            let result = self.process_closed_unit(open, counts.dense());
+            let result = self.process_closed_unit(open, counts.dense(), Some(counts.touched()));
             counts.reset();
             self.open_counts = counts;
             result?;
@@ -647,7 +647,15 @@ impl Tiresias {
     }
 
     /// Pipeline for one closed timeunit (Steps 2–5 of Fig. 3).
-    fn process_closed_unit(&mut self, unit: u64, dense: &[f64]) -> Result<(), CoreError> {
+    /// `touched`, when known, lists every node index with a non-zero
+    /// count in `dense`, which lets ADA close the unit over its frontier
+    /// without scanning the tree.
+    fn process_closed_unit(
+        &mut self,
+        unit: u64,
+        dense: &[f64],
+        touched: Option<&[u32]>,
+    ) -> Result<(), CoreError> {
         match &mut self.state {
             State::Warmup { units } => {
                 units.push(dense.to_vec());
@@ -657,7 +665,10 @@ impl Tiresias {
             }
             State::Running { tracker } => {
                 match tracker {
-                    Tracker::Ada(a) => a.push_timeunit(&self.tree, dense),
+                    Tracker::Ada(a) => match touched {
+                        Some(touched) => a.push_timeunit_touched(&self.tree, dense, touched),
+                        None => a.push_timeunit(&self.tree, dense),
+                    },
                     Tracker::Sta(s) => s.push_timeunit(&self.tree, dense),
                 }
                 let t0 = Instant::now();

@@ -7,11 +7,8 @@ use crate::config::HhhConfig;
 use crate::error::HhhError;
 use crate::memory::MemoryReport;
 use crate::model::Model;
-use crate::shhh::{
-    aggregate_weights, aggregate_weights_into, compute_shhh, compute_shhh_into, series_values,
-    ShhhResult,
-};
-use crate::split_rule::{SplitStats, StatRow};
+use crate::shhh::{aggregate_weights, aggregate_weights_into, compute_shhh, series_values};
+use crate::split_rule::{SplitRule, SplitStats, StatRow};
 use crate::surgery::compact_vec;
 use crate::timings::StageTimings;
 
@@ -32,8 +29,6 @@ pub struct AdaSlice {
 struct AdaNode {
     in_shhh: bool,
     ishh: bool,
-    washh: bool,
-    tosplit: bool,
     weight: f64,
     agg: f64,
     series: Option<NodeSeries>,
@@ -67,6 +62,119 @@ pub struct HeavyHitterView<'a> {
     pub latest_forecast: f64,
 }
 
+/// The frontier `D` of one unit close: the ancestor closure of the
+/// nodes counted this unit, the nodes counted last unit and last unit's
+/// heavy hitters. Outside `D` every per-node column of [`Ada`] is zero
+/// (or `false`, or `None`) before the close and stays so after it, so
+/// the close visits `D` only. Any superset of `D` gives the same result;
+/// a close whose `D` would span most of the tree takes all of it.
+///
+/// Pure scratch: never serialised, and its buffers are recycled across
+/// units.
+#[derive(Debug, Clone, Default)]
+struct Frontier {
+    /// `D` grouped by depth, each level sorted by node id. `Tree` only
+    /// ever appends to a level and compaction keeps arena order, so this
+    /// is the tree's level order restricted to `D`.
+    levels: Vec<Vec<NodeId>>,
+    /// `in_d[i]` iff node index `i` is in `D`.
+    in_d: Vec<bool>,
+    /// The node indices counted last unit (duplicates allowed).
+    last_counted: Vec<u32>,
+    /// `false` while `last_counted` is unknown — after a restore (it is
+    /// not serialised) or a migration (node ids changed) — so the next
+    /// close rebuilds it once from the per-node columns.
+    primed: bool,
+    /// `ids[i]` is the [`NodeId`] of arena index `i` (ids come only from
+    /// a `Tree`, and the counted nodes arrive as indices). Index `i`
+    /// always names the same id, so entries never go stale; the table
+    /// only grows.
+    ids: Vec<NodeId>,
+    /// Recycled buffer of [`Ada::push_timeunit`]'s non-zero scan.
+    scan: Vec<u32>,
+}
+
+impl Frontier {
+    /// Sizes the buffers for `tree`, independently of the serialised
+    /// columns.
+    fn fit(&mut self, tree: &Tree) {
+        if self.in_d.len() < tree.len() {
+            self.in_d.resize(tree.len(), false);
+        }
+        if self.levels.len() <= tree.max_depth() {
+            self.levels.resize_with(tree.max_depth() + 1, Vec::new);
+        }
+        // New nodes have the largest ids, so they sit at the tail of
+        // their (id-sorted) level.
+        let known = self.ids.len();
+        if known < tree.len() {
+            self.ids.resize(tree.len(), tree.root());
+            for depth in 0..=tree.max_depth() {
+                for &n in tree.nodes_at_depth(depth).iter().rev() {
+                    if n.index() < known {
+                        break;
+                    }
+                    self.ids[n.index()] = n;
+                }
+            }
+        }
+    }
+
+    /// Adds `n` and its ancestors, stopping at the first one already in
+    /// `D` (whose ancestors are then in `D` too).
+    fn add_with_ancestors(&mut self, tree: &Tree, n: NodeId) {
+        let mut cur = Some(n);
+        while let Some(n) = cur {
+            if self.in_d[n.index()] {
+                return;
+            }
+            self.in_d[n.index()] = true;
+            self.levels[tree.depth(n)].push(n);
+            cur = tree.parent(n);
+        }
+    }
+
+    /// Makes `D` the whole tree.
+    fn take_all(&mut self, tree: &Tree) {
+        for (depth, level) in self.levels.iter_mut().enumerate() {
+            level.clear();
+            level.extend_from_slice(tree.nodes_at_depth(depth));
+        }
+        self.in_d[..tree.len()].fill(true);
+    }
+
+    /// Adds node `n`, whose parent is in `D`, at its sorted position.
+    fn insert(&mut self, tree: &Tree, n: NodeId) {
+        if !self.in_d[n.index()] {
+            self.in_d[n.index()] = true;
+            let level = &mut self.levels[tree.depth(n)];
+            let at = level.binary_search(&n).unwrap_or_else(|at| at);
+            level.insert(at, n);
+        }
+    }
+
+    /// `D` in top-down level order.
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.levels.iter().flatten().copied()
+    }
+
+    /// `D` in bottom-up level order (deepest level first, ascending ids
+    /// within a level), the order of [`Tree::rev_level_order`].
+    fn iter_rev(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.levels.iter().rev().flatten().copied()
+    }
+
+    /// Empties `D`, keeping every allocation.
+    fn clear(&mut self) {
+        for level in &mut self.levels {
+            for &n in level.iter() {
+                self.in_d[n.index()] = false;
+            }
+            level.clear();
+        }
+    }
+}
+
 /// The adaptive algorithm **ADA** (Fig. 5–8 of the paper).
 ///
 /// ADA maintains a *single* tree. Every heavy hitter node owns its
@@ -84,9 +192,24 @@ pub struct HeavyHitterView<'a> {
 ///   exact `T_REF − Σ T(heavy-hitter descendants)` whenever available.
 ///
 /// Heavy-hitter *membership* is always exact (Lemma 1) — it is recomputed
-/// from Definition 2 every timeunit in O(|tree|) — only the series
-/// *contents* inherited through splits are approximate, with error
-/// decaying exponentially under the forecaster's smoothing (Fig. 9).
+/// from Definition 2 every timeunit — only the series *contents*
+/// inherited through splits are approximate, with error decaying
+/// exponentially under the forecaster's smoothing (Fig. 9).
+///
+/// # Cost of a timeunit
+///
+/// Only the unit's *frontier* `D` can change state: the nodes counted
+/// this unit, the nodes counted last unit, last unit's heavy hitters,
+/// and their ancestors. Every other node has a zero aggregate, a zero
+/// weight and no membership before and after the unit. A close therefore
+/// computes aggregates, Definition-2 weights, mark/split/merge and the
+/// member list over `D` alone, in level order, which costs
+/// O(|D| log |D|) instead of O(|tree|) and produces bit-identical state
+/// (the skipped nodes would only add `+0.0` terms); a split's reference
+/// correction likewise walks only the part of `D` below the split child.
+/// What still scales with the tree: the reference-series appends
+/// (O(nodes in the top `h` levels)) and, under [`SplitRule::Ewma`] only,
+/// the EWMA decay of the split statistic (O(|tree|)).
 ///
 /// # Example
 ///
@@ -119,10 +242,6 @@ pub struct Ada {
     in_shhh: Vec<bool>,
     /// Definition-2 flags of the current timeunit (`n.ishh`).
     ishh: Vec<bool>,
-    /// Membership before this timeunit's adaptation (`n.washh`).
-    washh: Vec<bool>,
-    /// Split propagation marks (`n.tosplit`).
-    tosplit: Vec<bool>,
     /// Definition-2 modified weights of the current timeunit
     /// (`n.weight`).
     weight: Vec<f64>,
@@ -142,10 +261,12 @@ pub struct Ada {
     instances: u64,
     members: Vec<NodeId>,
     timings: StageTimings,
-    /// Recycled Definition-2 buffers for the per-unit sweep; pure
-    /// scratch, rebuilt every timeunit, so excluded from checkpoints.
+    /// Split propagation marks (`n.tosplit`): set inside one close and
+    /// cleared before it returns, so pure scratch.
     #[serde(skip)]
-    scratch: ShhhResult,
+    tosplit: Vec<bool>,
+    #[serde(skip)]
+    frontier: Frontier,
 }
 
 impl Ada {
@@ -163,8 +284,6 @@ impl Ada {
             config,
             in_shhh: Vec::new(),
             ishh: Vec::new(),
-            washh: Vec::new(),
-            tosplit: Vec::new(),
             weight: Vec::new(),
             agg: Vec::new(),
             series: Vec::new(),
@@ -174,7 +293,8 @@ impl Ada {
             instances: 0,
             members: Vec::new(),
             timings: StageTimings::default(),
-            scratch: ShhhResult::default(),
+            tosplit: Vec::new(),
+            frontier: Frontier::default(),
         })
     }
 
@@ -250,10 +370,11 @@ impl Ada {
 
         // Reference series and split statistics from the full window.
         let mut agg = Vec::new();
+        let ewma_alpha = ada.ewma_alpha();
         for unit in window {
             pad_into(&mut padded, unit);
             aggregate_weights_into(tree, &padded, &mut agg);
-            ada.stats.record_unit(&agg, ada.config.stat_ewma_alpha);
+            ada.stats.record_unit(&agg, ewma_alpha);
             for n in tree.iter() {
                 let depth = tree.depth(n);
                 if depth >= 1 && depth <= ada.config.ref_levels {
@@ -276,19 +397,28 @@ impl Ada {
         self.instances
     }
 
+    /// The EWMA split statistic's rate, when the split rule reads it.
+    fn ewma_alpha(&self) -> Option<f64> {
+        matches!(self.config.split_rule, SplitRule::Ewma { .. })
+            .then_some(self.config.stat_ewma_alpha)
+    }
+
     /// Grows the per-node state to cover a tree that gained nodes.
     fn ensure_capacity(&mut self, tree: &Tree) {
         let len = tree.len();
         if self.in_shhh.len() < len {
             self.in_shhh.resize(len, false);
             self.ishh.resize(len, false);
-            self.washh.resize(len, false);
-            self.tosplit.resize(len, false);
             self.weight.resize(len, 0.0);
             self.agg.resize(len, 0.0);
             self.series.resize_with(len, || None);
             self.ref_actual.resize_with(len, || None);
             self.stats.resize(len);
+        }
+        // Scratch is sized on its own: after a restore it is empty while
+        // the columns above are full-size.
+        if self.tosplit.len() < len {
+            self.tosplit.resize(len, false);
         }
     }
 
@@ -311,51 +441,202 @@ impl Ada {
     /// updates weights and membership, adapts series via split/merge,
     /// then appends the new observations (Fig. 5, lines 6–29).
     ///
+    /// Scans `direct` for the counted nodes, then closes the unit like
+    /// [`Ada::push_timeunit_touched`]; callers that already know which
+    /// nodes they counted should call that instead.
+    ///
     /// # Panics
     ///
     /// Panics if `direct.len() < tree.len()`.
     pub fn push_timeunit(&mut self, tree: &Tree, direct: &[f64]) {
         assert!(direct.len() >= tree.len(), "direct counts must cover the tree");
+        let mut scan = std::mem::take(&mut self.frontier.scan);
+        scan.clear();
+        scan.extend(
+            direct[..tree.len()]
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| w.to_bits() != 0)
+                .map(|(i, _)| i as u32),
+        );
+        self.push_timeunit_touched(tree, direct, &scan);
+        self.frontier.scan = scan;
+    }
+
+    /// [`Ada::push_timeunit`] for a caller that knows which nodes it
+    /// counted: `touched` must list every node index whose `direct`
+    /// count is non-zero (duplicates and zero entries are allowed), and
+    /// every index must be below `tree.len()`. The close then costs
+    /// O(frontier) rather than O(tree) (see [`Ada`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `direct.len() < tree.len()` or an index is out of range.
+    pub fn push_timeunit_touched(&mut self, tree: &Tree, direct: &[f64], touched: &[u32]) {
+        assert!(direct.len() >= tree.len(), "direct counts must cover the tree");
         let t0 = Instant::now();
         self.ensure_capacity(tree);
+        let mut fr = std::mem::take(&mut self.frontier);
+        fr.fit(tree);
+        if !fr.primed {
+            fr.last_counted.clear();
+            fr.last_counted
+                .extend((0..tree.len()).filter(|&i| self.holds_unit_state(i)).map(|i| i as u32));
+            fr.primed = true;
+        }
 
-        // Initialisation (lines 6–12): washh ← membership, recompute
-        // aggregates and Definition-2 weights/flags for this unit. All
-        // three per-node buffers are recycled across timeunits, so the
-        // steady-state sweep performs no allocation.
-        self.washh.copy_from_slice(&self.in_shhh);
-        self.tosplit.iter_mut().for_each(|b| *b = false);
-        aggregate_weights_into(tree, direct, &mut self.agg);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        compute_shhh_into(tree, direct, self.config.theta, &mut scratch);
-        std::mem::swap(&mut self.ishh, &mut scratch.is_member);
-        std::mem::swap(&mut self.weight, &mut scratch.modified);
-        self.scratch = scratch;
+        // The frontier D. The root always belongs (the root rule runs
+        // every unit). Last unit's heavy hitters already lie below last
+        // unit's counted nodes when θ > 0; seeding them too keeps D
+        // correct without leaning on that. When the seeds cover a good
+        // part of the tree, D is most of it, and taking the whole tree
+        // (exact too: any superset of D is) is cheaper than the walk.
+        let mut counted = std::mem::take(&mut fr.last_counted);
+        if 4 * (touched.len() + counted.len()) >= tree.len() {
+            fr.take_all(tree);
+        } else {
+            fr.add_with_ancestors(tree, tree.root());
+            for &i in touched.iter().chain(&counted) {
+                let n = fr.ids[i as usize];
+                fr.add_with_ancestors(tree, n);
+            }
+            for &m in &self.members {
+                fr.add_with_ancestors(tree, m);
+            }
+            for level in &mut fr.levels {
+                level.sort_unstable();
+            }
+        }
 
-        // SHHH and series adaptation (lines 13–25).
-        // Mark: a node that is (or passes through) a new heavy hitter
-        // and is not yet in SHHH asks its parent to split.
-        for n in tree.rev_level_order() {
-            if (self.ishh[n.index()] || self.tosplit[n.index()]) && !self.in_shhh[n.index()] {
-                if let Some(p) = tree.parent(n) {
-                    self.tosplit[p.index()] = true;
+        // Initialisation (lines 6–12): aggregates and Definition-2
+        // weights/flags of this unit, in one bottom-up pass that adds
+        // each node into its parent once the node is final. A parent
+        // thus sums its children in child order, as the full-tree sweeps
+        // do, and the skipped children would only add `+0.0`: every sum
+        // is bit-identical.
+        for n in fr.iter() {
+            let i = n.index();
+            self.agg[i] = direct[i];
+            self.weight[i] = direct[i];
+        }
+        for n in fr.iter_rev() {
+            let i = n.index();
+            let w = self.weight[i];
+            let member = w >= self.config.theta;
+            self.ishh[i] = member;
+            if let Some(p) = tree.parent(n) {
+                self.agg[p.index()] += self.agg[i];
+                if !member {
+                    self.weight[p.index()] += w;
                 }
             }
         }
-        // Top-down splits.
-        for n in tree.level_order() {
-            let is_root = tree.parent(n).is_none();
-            if (self.in_shhh[n.index()] || is_root) && self.tosplit[n.index()] {
-                self.split(tree, n);
+        for n in fr.iter_rev() {
+            self.mark(tree, n);
+        }
+        let t1 = Instant::now();
+
+        // SHHH and series adaptation (lines 13–25). A split hands
+        // membership to children that may lie outside D (zero counts
+        // this unit and last); they join D at their sorted position in
+        // the next level so the merge pass below folds them back.
+        for depth in 0..fr.levels.len() {
+            let mut k = 0;
+            while let Some(&n) = fr.levels[depth].get(k) {
+                for c in self.split_if_marked(tree, n, Some(&fr.in_d)) {
+                    fr.insert(tree, c);
+                }
+                k += 1;
             }
         }
-        // Bottom-up merges.
-        for n in tree.rev_level_order() {
-            if tree.parent(n).is_some() && self.in_shhh[n.index()] && !self.ishh[n.index()] {
-                self.merge_group(tree, n);
+        for n in fr.iter_rev() {
+            self.merge_if_dropped(tree, n);
+        }
+        self.apply_root_rule(tree);
+        for n in fr.iter() {
+            self.reconcile(tree, n, Some(&fr.in_d));
+        }
+        let t2 = Instant::now();
+
+        // Lemma 1: after adaptation, membership equals the Definition-2
+        // flags everywhere (outside D both are `false`).
+        debug_assert!(
+            fr.iter().all(|n| self.in_shhh[n.index()] == self.ishh[n.index()]),
+            "SHHH membership diverged from Definition 2"
+        );
+        let mut members = std::mem::take(&mut self.members);
+        members.clear();
+        members.extend(fr.iter().filter(|n| self.in_shhh[n.index()]));
+        self.members = members;
+        let ewma_alpha = self.ewma_alpha();
+        self.stats.record_nodes(&self.agg, fr.iter().map(NodeId::index), ewma_alpha);
+        for n in fr.iter() {
+            self.tosplit[n.index()] = false;
+        }
+        fr.clear();
+        counted.clear();
+        counted.extend_from_slice(touched);
+        fr.last_counted = counted;
+        self.frontier = fr;
+        let t3 = Instant::now();
+
+        self.append_observations(tree);
+        self.instances += 1;
+        let t4 = Instant::now();
+        self.timings.updating_hierarchies += (t1 - t0) + (t3 - t2);
+        self.timings.creating_time_series += (t2 - t1) + (t4 - t3);
+    }
+
+    /// Whether node index `i` carries per-unit state a close must
+    /// revisit: membership, a Definition-2 flag, a series, or a non-zero
+    /// aggregate, weight or previous-unit statistic.
+    fn holds_unit_state(&self, i: usize) -> bool {
+        self.in_shhh[i]
+            || self.ishh[i]
+            || self.series[i].is_some()
+            || self.agg[i].to_bits() != 0
+            || self.weight[i].to_bits() != 0
+            || self.stats.row(i).prev.to_bits() != 0
+    }
+
+    /// Mark: a node that is (or passes through) a new heavy hitter and
+    /// is not yet in SHHH asks its parent to split. Run bottom-up.
+    fn mark(&mut self, tree: &Tree, n: NodeId) {
+        let i = n.index();
+        if (self.ishh[i] || self.tosplit[i]) && !self.in_shhh[i] {
+            if let Some(p) = tree.parent(n) {
+                self.tosplit[p.index()] = true;
             }
         }
-        // Root rule (lines 24–25).
+    }
+
+    /// Top-down split step: splits a marked member (or the root) and
+    /// returns the children that joined SHHH. `frontier`: see
+    /// [`Ada::reference_correction`].
+    fn split_if_marked(
+        &mut self,
+        tree: &Tree,
+        n: NodeId,
+        frontier: Option<&[bool]>,
+    ) -> Vec<NodeId> {
+        let is_root = tree.parent(n).is_none();
+        if (self.in_shhh[n.index()] || is_root) && self.tosplit[n.index()] {
+            self.split(tree, n, frontier)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Bottom-up merge step: a non-root member that fell below θ merges
+    /// its group into the parent.
+    fn merge_if_dropped(&mut self, tree: &Tree, n: NodeId) {
+        if tree.parent(n).is_some() && self.in_shhh[n.index()] && !self.ishh[n.index()] {
+            self.merge_group(tree, n);
+        }
+    }
+
+    /// Root rule (lines 24–25).
+    fn apply_root_rule(&mut self, tree: &Tree) {
         let root = tree.root();
         if self.ishh[root.index()] {
             if !self.in_shhh[root.index()] {
@@ -372,41 +653,34 @@ impl Ada {
             self.in_shhh[root.index()] = false;
             self.series[root.index()] = None;
         }
+    }
 
-        // Reconciliation: with leaf-only data the split/merge choreography
-        // above already leaves membership equal to the Definition-2 flags
-        // (Lemma 1). Direct counts on *interior* nodes — an extension the
-        // paper does not consider — admit one extra case: a node whose
-        // residual stays ≥ θ while every child became a heavy hitter has
-        // nothing to merge back after its split. Enforce exactness for
-        // that case too, seeding from the reference series if available.
-        for n in tree.level_order() {
-            let i = n.index();
-            if self.ishh[i] && !self.in_shhh[i] {
-                let series =
-                    self.reference_correction(tree, n).unwrap_or_else(|| self.zero_series());
-                self.series[i] = Some(series);
-                self.in_shhh[i] = true;
-            } else if !self.ishh[i] && self.in_shhh[i] && tree.parent(n).is_some() {
-                // Fold the stale state into the parent's slot so nothing
-                // leaks; membership follows Definition 2.
-                self.in_shhh[i] = false;
-                self.series[i] = None;
-            }
+    /// Reconciliation, run top-down: with leaf-only data the split/merge
+    /// choreography already leaves membership equal to the Definition-2
+    /// flags (Lemma 1). Direct counts on *interior* nodes — an extension
+    /// the paper does not consider — admit one extra case: a node whose
+    /// residual stays ≥ θ while every child became a heavy hitter has
+    /// nothing to merge back after its split. Enforce exactness for that
+    /// case too, seeding from the reference series if available.
+    fn reconcile(&mut self, tree: &Tree, n: NodeId, frontier: Option<&[bool]>) {
+        let i = n.index();
+        if self.ishh[i] && !self.in_shhh[i] {
+            let series =
+                self.reference_correction(tree, n, frontier).unwrap_or_else(|| self.zero_series());
+            self.series[i] = Some(series);
+            self.in_shhh[i] = true;
+        } else if !self.ishh[i] && self.in_shhh[i] && tree.parent(n).is_some() {
+            // Fold the stale state into the parent's slot so nothing
+            // leaks; membership follows Definition 2.
+            self.in_shhh[i] = false;
+            self.series[i] = None;
         }
-        // Lemma 1: after adaptation, membership equals the Definition-2
-        // flags everywhere.
-        debug_assert!(
-            tree.iter().all(|n| self.in_shhh[n.index()] == self.ishh[n.index()]),
-            "SHHH membership diverged from Definition 2"
-        );
+    }
 
-        let mut members = std::mem::take(&mut self.members);
-        members.clear();
-        members.extend(tree.level_order().filter(|n| self.in_shhh[n.index()]));
-        self.members = members;
-
-        // Time series update (lines 26–29): constant-time appends.
+    /// Time series update (lines 26–29): constant-time appends for the
+    /// members, then the reference series of the top `h` levels
+    /// (§V-B5).
+    fn append_observations(&mut self, tree: &Tree) {
         for &n in &self.members {
             let w = self.weight[n.index()];
             let s = self.series[n.index()].as_mut().expect("member owns series");
@@ -415,7 +689,6 @@ impl Ada {
             s.actual.push(w);
             s.model.observe(w);
         }
-        // Reference series for the top h levels (§V-B5).
         if self.config.ref_levels > 0 {
             for depth in 1..=self.config.ref_levels.min(tree.max_depth()) {
                 for &n in tree.nodes_at_depth(depth) {
@@ -429,26 +702,20 @@ impl Ada {
             }
         }
         self.series_len = (self.series_len + 1).min(self.config.ell);
-        self.stats.record_unit(&self.agg, self.config.stat_ewma_alpha);
-        self.instances += 1;
-        self.timings.updating_hierarchies += t0.elapsed();
     }
 
     /// `SPLIT(n)` (Fig. 7): hand `n`'s series down to its non-member
     /// children, apportioned by the split rule, and move membership from
     /// `n` to those children. Reference series override the apportioned
-    /// copy where available.
-    fn split(&mut self, tree: &Tree, n: NodeId) {
+    /// copy where available. Returns the children that joined SHHH.
+    fn split(&mut self, tree: &Tree, n: NodeId, frontier: Option<&[bool]>) -> Vec<NodeId> {
         let children: Vec<NodeId> =
             tree.children(n).iter().copied().filter(|c| !self.in_shhh[c.index()]).collect();
-        if children.is_empty() {
-            return;
-        }
         // Guard (Fig. 7 line 2): only split when a genuine heavy hitter
         // is hiding below — checked on aggregates so hidden hitters
         // deeper than one level still trigger the cascade.
         if !children.iter().any(|c| self.agg[c.index()] >= self.config.theta) {
-            return;
+            return Vec::new();
         }
         let ratios = self.stats.ratios(self.config.split_rule, &children);
         // Root isolation: the root's series stays put and the children
@@ -474,31 +741,34 @@ impl Ada {
                 // ever joined SHHH) hands down zeros.
                 None => self.zero_series(),
             };
-            let series = self.reference_correction(tree, c).unwrap_or(inherited);
+            let series = self.reference_correction(tree, c, frontier).unwrap_or(inherited);
             self.series[c.index()] = Some(series);
             self.in_shhh[c.index()] = true;
         }
         self.in_shhh[n.index()] = false;
+        children
     }
 
     /// The §V-B5 correction: if `c` has a reference series, rebuild its
     /// series exactly as `T_REF(c) − Σ T(d)` over `c`'s descendants `d`
     /// currently holding series, instead of trusting the split ratio.
-    fn reference_correction(&self, tree: &Tree, c: NodeId) -> Option<NodeSeries> {
+    ///
+    /// Inside a frontier close, `frontier` is `D`'s membership bitset:
+    /// every member lies in `D` and `D` is closed under ancestors, so the
+    /// walk descends into `D` only and meets the same members in the same
+    /// order as a walk over the whole subtree.
+    fn reference_correction(
+        &self,
+        tree: &Tree,
+        c: NodeId,
+        frontier: Option<&[bool]>,
+    ) -> Option<NodeSeries> {
         let reference = self.ref_actual[c.index()].as_ref()?;
         if reference.len() != self.series_len {
             return None;
         }
         let mut corrected: Vec<f64> = reference.to_vec();
-        for d in tree.subtree(c).skip(1) {
-            if let Some(ds) = self.series[d.index()].as_ref() {
-                if self.in_shhh[d.index()] {
-                    for (acc, v) in corrected.iter_mut().zip(ds.actual.iter()) {
-                        *acc -= v;
-                    }
-                }
-            }
-        }
+        self.subtract_member_series(tree, c, frontier, &mut corrected);
         let start = self.instances - self.series_len as u64;
         let (model, forecasts) = Model::replay(&self.config.model, &corrected, start).ok()?;
         Some(NodeSeries {
@@ -506,6 +776,31 @@ impl Ada {
             forecast: Series::from_values(self.config.ell, &forecasts),
             model,
         })
+    }
+
+    /// Subtracts from `acc` the series of every member strictly below
+    /// `n`, in depth-first pre-order (children in child order), visiting
+    /// only nodes inside `frontier` when one is given.
+    fn subtract_member_series(
+        &self,
+        tree: &Tree,
+        n: NodeId,
+        frontier: Option<&[bool]>,
+        acc: &mut [f64],
+    ) {
+        for &d in tree.children(n) {
+            if frontier.is_some_and(|in_d| !in_d[d.index()]) {
+                continue;
+            }
+            if self.in_shhh[d.index()] {
+                if let Some(ds) = &self.series[d.index()] {
+                    for (a, v) in acc.iter_mut().zip(ds.actual.iter()) {
+                        *a -= v;
+                    }
+                }
+            }
+            self.subtract_member_series(tree, d, frontier, acc);
+        }
     }
 
     /// `MERGE` (Fig. 8): `n` is a member that fell below θ. Gather every
@@ -594,7 +889,10 @@ impl Ada {
         self.series[n.index()].as_ref().map(|s| s.model.forecast())
     }
 
-    /// Cumulative stage timings.
+    /// Cumulative stage timings: building the frontier, weights and
+    /// membership count as `updating_hierarchies`; split, merge,
+    /// reconciliation (with its reference corrections) and the series
+    /// and reference appends as `creating_time_series`.
     pub fn timings(&self) -> StageTimings {
         self.timings
     }
@@ -619,8 +917,6 @@ impl Ada {
                 AdaNode {
                     in_shhh: self.in_shhh.get(i).copied().unwrap_or(false),
                     ishh: self.ishh.get(i).copied().unwrap_or(false),
-                    washh: self.washh.get(i).copied().unwrap_or(false),
-                    tosplit: self.tosplit.get(i).copied().unwrap_or(false),
                     weight: self.weight.get(i).copied().unwrap_or(0.0),
                     agg: self.agg.get(i).copied().unwrap_or(0.0),
                     series: self.series.get_mut(i).and_then(Option::take),
@@ -631,8 +927,6 @@ impl Ada {
             .collect();
         compact_vec(&mut self.in_shhh, &surgery.old_to_new);
         compact_vec(&mut self.ishh, &surgery.old_to_new);
-        compact_vec(&mut self.washh, &surgery.old_to_new);
-        compact_vec(&mut self.tosplit, &surgery.old_to_new);
         compact_vec(&mut self.weight, &surgery.old_to_new);
         compact_vec(&mut self.agg, &surgery.old_to_new);
         compact_vec(&mut self.series, &surgery.old_to_new);
@@ -660,8 +954,6 @@ impl Ada {
             let i = id.index();
             self.in_shhh[i] = node.in_shhh;
             self.ishh[i] = node.ishh;
-            self.washh[i] = node.washh;
-            self.tosplit[i] = node.tosplit;
             self.weight[i] = node.weight;
             self.agg[i] = node.agg;
             self.series[i] = node.series;
@@ -672,12 +964,15 @@ impl Ada {
     }
 
     /// Recomputes the member list from the membership flags, in the
-    /// top-down level order [`Ada::push_timeunit`] produces.
+    /// top-down level order [`Ada::push_timeunit`] produces. Called after
+    /// a migration renumbered nodes, so it also has the next close
+    /// rebuild last unit's counted nodes from the columns.
     fn rebuild_members(&mut self, tree: &Tree) {
         let mut members = std::mem::take(&mut self.members);
         members.clear();
         members.extend(tree.level_order().filter(|n| self.in_shhh[n.index()]));
         self.members = members;
+        self.frontier.primed = false;
     }
 
     /// Memory accounting (see [`MemoryReport`]).
@@ -697,11 +992,47 @@ impl Ada {
     }
 }
 
+/// The full-tree close, kept as the test oracle of the frontier close:
+/// the same steps over every node in tree order, with Definition 2 and
+/// the aggregates from the standalone sweeps of [`crate::shhh`], and the
+/// EWMA statistic maintained under every split rule.
+#[cfg(test)]
+impl Ada {
+    fn push_timeunit_full(&mut self, tree: &Tree, direct: &[f64]) {
+        self.ensure_capacity(tree);
+        self.tosplit.iter_mut().for_each(|b| *b = false);
+        aggregate_weights_into(tree, direct, &mut self.agg);
+        let shhh = compute_shhh(tree, direct, self.config.theta);
+        self.ishh = shhh.is_member;
+        self.weight = shhh.modified;
+        for n in tree.rev_level_order() {
+            self.mark(tree, n);
+        }
+        for n in tree.level_order() {
+            self.split_if_marked(tree, n, None);
+        }
+        for n in tree.rev_level_order() {
+            self.merge_if_dropped(tree, n);
+        }
+        self.apply_root_rule(tree);
+        for n in tree.level_order() {
+            self.reconcile(tree, n, None);
+        }
+        assert!(
+            tree.iter().all(|n| self.in_shhh[n.index()] == self.ishh[n.index()]),
+            "SHHH membership diverged from Definition 2"
+        );
+        self.rebuild_members(tree);
+        self.stats.record_unit(&self.agg, Some(self.config.stat_ewma_alpha));
+        self.append_observations(tree);
+        self.instances += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::ModelSpec;
-    use crate::split_rule::SplitRule;
 
     fn cfg(theta: f64, ell: usize) -> HhhConfig {
         HhhConfig::new(theta, ell).with_model(ModelSpec::Ewma { alpha: 0.5 }).with_ref_levels(0)
@@ -1094,5 +1425,239 @@ mod tests {
                 }
             }
         }
+    }
+}
+
+/// The frontier close against the full-tree oracle on random sparse
+/// trees, under every split rule, reference depth and isolation mode,
+/// across tree growth, migrations and checkpoint round trips.
+#[cfg(test)]
+mod frontier_tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+    use crate::model::ModelSpec;
+
+    const RULES: [SplitRule; 4] = [
+        SplitRule::Uniform,
+        SplitRule::LastTimeUnit,
+        SplitRule::LongTermHistory,
+        SplitRule::Ewma { alpha: 0.3 },
+    ];
+
+    /// A path of depth 1..=5 whose labels pick one of `fanout` names per
+    /// level.
+    fn random_path(rng: &mut StdRng, fanout: usize) -> Vec<String> {
+        let depth = rng.gen_range(1..=5usize);
+        (0..depth).map(|_| format!("n{}", rng.gen_range(0..fanout))).collect()
+    }
+
+    /// One unit of direct counts on at most 5 % of the leaves (at least
+    /// one), plus sometimes a count on an interior node. Counts are
+    /// fractional so that sums are inexact and a changed summation order
+    /// shows in the bits. One unit in eight counts up to half the leaves
+    /// instead, which takes the close's whole-tree path.
+    fn random_unit(rng: &mut StdRng, tree: &Tree, theta: f64) -> Vec<f64> {
+        let mut direct = vec![0.0; tree.len()];
+        let (leaves, interior): (Vec<NodeId>, Vec<NodeId>) =
+            tree.iter().skip(1).partition(|&n| tree.is_leaf(n));
+        let share = if rng.gen_bool(0.125) { 2 } else { 20 };
+        for _ in 0..rng.gen_range(1..=(leaves.len() / share).max(1)) {
+            let leaf = leaves[rng.gen_range(0..leaves.len())];
+            direct[leaf.index()] += rng.gen_range(0.1..3.0 * theta);
+        }
+        if !interior.is_empty() && rng.gen_bool(0.25) {
+            let n = interior[rng.gen_range(0..interior.len())];
+            direct[n.index()] += rng.gen_range(0.1..3.0 * theta);
+        }
+        direct
+    }
+
+    /// Bit-equality of two optional values through their `Debug` form.
+    fn same_debug<T: std::fmt::Debug>(a: &Option<T>, b: &Option<T>) -> bool {
+        match (a, b) {
+            (None, None) => true,
+            _ => format!("{a:?}") == format!("{b:?}"),
+        }
+    }
+
+    /// The first node whose state differs between the two trackers, if
+    /// any. Floats are compared by bits (series and models through their
+    /// `Debug` form, which prints every value round-trippably); the EWMA
+    /// statistic only under the rule that reads it.
+    fn divergence(fast: &Ada, full: &Ada, tree: &Tree) -> Option<String> {
+        if fast.members != full.members {
+            return Some(format!("members {:?} vs {:?}", fast.members, full.members));
+        }
+        if (fast.series_len, fast.instances) != (full.series_len, full.instances) {
+            return Some("series length or instance count".into());
+        }
+        let ewma = matches!(fast.config.split_rule, SplitRule::Ewma { .. });
+        for n in tree.iter() {
+            let i = n.index();
+            let (a, b) = (fast.stats.row(i), full.stats.row(i));
+            let same = fast.in_shhh[i] == full.in_shhh[i]
+                && fast.ishh[i] == full.ishh[i]
+                && fast.weight[i].to_bits() == full.weight[i].to_bits()
+                && fast.agg[i].to_bits() == full.agg[i].to_bits()
+                && a.prev.to_bits() == b.prev.to_bits()
+                && a.total.to_bits() == b.total.to_bits()
+                && (!ewma || (a.ewma.to_bits() == b.ewma.to_bits() && a.seeded == b.seeded))
+                && same_debug(&fast.series[i], &full.series[i])
+                && same_debug(&fast.ref_actual[i], &full.ref_actual[i]);
+            if !same {
+                return Some(format!("node {n} `{}`", tree.path_of(n)));
+            }
+        }
+        None
+    }
+
+    /// Moves a random top-level subtree out of `tree` and back in (to
+    /// the end of the arena), renumbering its nodes, in both trackers.
+    fn migrate(rng: &mut StdRng, tree: &mut Tree, fast: &mut Ada, full: &mut Ada) {
+        let tops = tree.children(tree.root());
+        if tops.is_empty() {
+            return;
+        }
+        let label = tree.label(tops[rng.gen_range(0..tops.len())]).to_string();
+        let surgery = tree.extract_top_subtrees(|l| l == label);
+        let fast_slice = fast.extract_nodes(tree, &surgery);
+        let full_slice = full.extract_nodes(tree, &surgery);
+        let ids = tree.adopt_top_subtrees(&surgery.moved);
+        fast.adopt_nodes(tree, &ids, fast_slice);
+        full.adopt_nodes(tree, &ids, full_slice);
+    }
+
+    /// Replays one seeded stream through the frontier close and the
+    /// oracle under `config`, comparing after every unit.
+    fn run(seed: u64, rule: SplitRule, ref_levels: usize, isolation: bool) -> Result<(), String> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let fanout = rng.gen_range(2..=30usize);
+        let theta = rng.gen_range(3.0..12.0);
+        let model = if rng.gen_bool(0.5) {
+            ModelSpec::Ewma { alpha: 0.5 }
+        } else {
+            ModelSpec::HoltWinters { alpha: 0.5, beta: 0.1, gamma: 0.3, season: 3 }
+        };
+        let config = HhhConfig::new(theta, 12)
+            .with_model(model)
+            .with_split_rule(rule)
+            .with_ref_levels(ref_levels)
+            .with_root_isolation(isolation);
+        let mut tree = Tree::new("root");
+        for _ in 0..rng.gen_range(10..300usize) {
+            tree.insert_path(&random_path(&mut rng, fanout));
+        }
+        let (mut fast, mut full) = if rng.gen_bool(0.5) {
+            let history: Vec<Vec<f64>> = (0..rng.gen_range(1..6usize))
+                .map(|_| random_unit(&mut rng, &tree, theta))
+                .collect();
+            let ada = || Ada::with_history(config.clone(), &tree, &history).expect("valid");
+            (ada(), ada())
+        } else {
+            (Ada::new(config.clone()).expect("valid"), Ada::new(config.clone()).expect("valid"))
+        };
+        for unit in 0..rng.gen_range(10..40usize) {
+            for _ in 0..rng.gen_range(0..4usize) {
+                tree.insert_path(&random_path(&mut rng, fanout));
+            }
+            let direct = random_unit(&mut rng, &tree, theta);
+            if rng.gen_bool(0.5) {
+                fast.push_timeunit(&tree, &direct);
+            } else {
+                // The detector's shape: every counted index, here with a
+                // repeat and an uncounted one thrown in.
+                let mut touched: Vec<u32> =
+                    (0..tree.len()).filter(|&i| direct[i] != 0.0).map(|i| i as u32).collect();
+                touched.reverse();
+                touched.push(touched[0]);
+                touched.push(rng.gen_range(0..tree.len()) as u32);
+                fast.push_timeunit_touched(&tree, &direct, &touched);
+            }
+            full.push_timeunit_full(&tree, &direct);
+            if let Some(d) = divergence(&fast, &full, &tree) {
+                return Err(format!("unit {unit}: {d}"));
+            }
+            match rng.gen_range(0..8usize) {
+                0 => {
+                    let json = serde_json::to_string(&fast).expect("serialises");
+                    fast = serde_json::from_str(&json).expect("restores");
+                }
+                1 => {
+                    migrate(&mut rng, &mut tree, &mut fast, &mut full);
+                    if let Some(d) = divergence(&fast, &full, &tree) {
+                        return Err(format!("after migration at unit {unit}: {d}"));
+                    }
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn frontier_close_matches_the_full_sweep(seed in 0u64..u64::MAX) {
+            for rule in RULES {
+                for ref_levels in 0..=2 {
+                    for isolation in [false, true] {
+                        let outcome = run(seed, rule, ref_levels, isolation);
+                        prop_assert!(
+                            outcome.is_ok(),
+                            "seed {seed}, {rule}, h = {ref_levels}, isolation {isolation}: {}",
+                            outcome.unwrap_err()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The trap case: `a` (heavy through its own direct count) splits
+    /// because `x` spiked, handing membership to its never-counted
+    /// siblings too. Those lie outside the unit's frontier as built, and
+    /// the merge pass must still fold them back.
+    #[test]
+    fn split_children_outside_the_frontier_merge_back() {
+        let mut t = Tree::new("root");
+        let x = t.insert_path(&["a", "x"]);
+        let quiet: Vec<NodeId> = (0..5).map(|k| t.insert_path(&["a", &format!("q{k}")])).collect();
+        let a = t.find(&["a"]).unwrap();
+        let config = HhhConfig::new(10.0, 8).with_model(ModelSpec::Ewma { alpha: 0.5 });
+        let mut fast = Ada::new(config.clone()).unwrap();
+        let mut full = Ada::new(config).unwrap();
+        let mut units = vec![vec![0.0; t.len()]; 3];
+        units[0][a.index()] = 12.0;
+        units[1][a.index()] = 12.0;
+        units[2][x.index()] = 20.0;
+        for direct in &units {
+            fast.push_timeunit(&t, direct);
+            full.push_timeunit_full(&t, direct);
+            assert_eq!(divergence(&fast, &full, &t), None);
+        }
+        assert_eq!(fast.heavy_hitters(), &[x]);
+        for q in quiet {
+            assert!(!fast.is_heavy_hitter(q), "never-counted child folded back");
+        }
+        assert!(fast.timings().creating_time_series > std::time::Duration::ZERO);
+        assert!(fast.timings().updating_hierarchies > std::time::Duration::ZERO);
+    }
+
+    /// Old checkpoints carry the removed per-unit columns; fields are
+    /// looked up by name, so they load and are ignored.
+    #[test]
+    fn checkpoints_with_removed_columns_still_load() {
+        let t = Tree::new("root");
+        let ada = Ada::new(HhhConfig::new(5.0, 4)).unwrap();
+        let json = serde_json::to_string(&ada).unwrap();
+        assert!(!json.contains("washh") && !json.contains("tosplit"));
+        let legacy = json.replacen('{', r#"{"washh":[false],"tosplit":[true],"#, 1);
+        let mut back: Ada = serde_json::from_str(&legacy).expect("legacy fields are ignored");
+        back.push_timeunit(&t, &[12.0]);
+        assert_eq!(back.heavy_hitters(), &[t.root()]);
     }
 }

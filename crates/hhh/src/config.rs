@@ -21,9 +21,10 @@ pub struct HhhConfig {
     /// Number of top hierarchy levels `h` (excluding the root) that keep
     /// reference time series (§V-B5). `0` disables the add-on.
     pub ref_levels: usize,
-    /// Smoothing rate of the EWMA split-rule statistic (only used when
-    /// `split_rule` is [`SplitRule::Ewma`]; kept here so the statistic is
-    /// maintained consistently).
+    /// Smoothing rate of the EWMA split-rule statistic. The statistic is
+    /// maintained only while `split_rule` is [`SplitRule::Ewma`], the one
+    /// rule that reads it ([`HhhConfig::with_split_rule`] keeps the two
+    /// rates equal); under any other rule it is never updated.
     pub stat_ewma_alpha: f64,
     /// Keeps the root's time series out of `SPLIT` inheritance: a
     /// first-level node joining the heavy hitter set seeds from its

@@ -18,10 +18,12 @@
 //!   heavy hitter nodes own their series and forecaster state, and move
 //!   that state through the hierarchy with `SPLIT` (scale down to
 //!   children, §V-B4) and `MERGE` (sum into the parent) operations as the
-//!   heavy hitter set drifts. Θ(|tree|) per instance and Θ(1) amortised
-//!   per series update, at the cost of small, exponentially decaying
-//!   series error (Fig. 9) — reducible further with **reference time
-//!   series** kept for the top `h` levels (§V-B5).
+//!   heavy hitter set drifts. Each instance touches only its frontier —
+//!   the nodes counted this unit or the last, last unit's heavy hitters
+//!   and their ancestors — and each series update is Θ(1) amortised, at
+//!   the cost of small, exponentially decaying series error (Fig. 9) —
+//!   reducible further with **reference time series** kept for the top
+//!   `h` levels (§V-B5).
 //!
 //! The heavy-hitter membership produced by [`Ada`] is always exactly the
 //! Definition-2 set (the paper's Lemma 1); only the *series contents* are

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use tiresias_hierarchy::{NodeId, Tree};
+use tiresias_hierarchy::NodeId;
 
 /// The heuristic deriving the scale ratio `F(n_c, C_n)` used by ADA's
 /// `SPLIT` operation to apportion a parent's time series among its
@@ -101,19 +101,45 @@ impl SplitStats {
     }
 
     /// Folds one timeunit's aggregate weights `A_n` into the statistics.
-    /// `ewma_alpha` is the smoothing rate used for the EWMA property.
+    /// `ewma_alpha` is the smoothing rate of the EWMA property; `None`
+    /// leaves the EWMA untouched (only [`SplitRule::Ewma`] reads it).
     ///
     /// # Panics
     ///
     /// Panics if `aggregates` is shorter than the tracked node count.
-    pub fn record_unit(&mut self, aggregates: &[f64], ewma_alpha: f64) {
+    pub fn record_unit(&mut self, aggregates: &[f64], ewma_alpha: Option<f64>) {
         assert!(aggregates.len() >= self.prev.len());
-        for i in 0..self.prev.len() {
+        self.record_nodes(aggregates, 0..self.prev.len(), ewma_alpha);
+    }
+
+    /// [`SplitStats::record_unit`] with the previous-unit and cumulative
+    /// properties updated at node indices `nodes` only. Equal to
+    /// `record_unit` whenever every other node's aggregate is zero in
+    /// this unit and was zero in the previous one. The EWMA, when
+    /// requested, still decays over every node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range of `aggregates` or of the
+    /// statistics.
+    pub fn record_nodes(
+        &mut self,
+        aggregates: &[f64],
+        nodes: impl IntoIterator<Item = usize>,
+        ewma_alpha: Option<f64>,
+    ) {
+        for i in nodes {
             let a = aggregates[i];
             self.prev[i] = a;
             self.total[i] += a;
+        }
+        let Some(alpha) = ewma_alpha else {
+            return;
+        };
+        for i in 0..self.ewma.len() {
+            let a = aggregates[i];
             if self.ewma_seeded[i] {
-                self.ewma[i] = ewma_alpha * a + (1.0 - ewma_alpha) * self.ewma[i];
+                self.ewma[i] = alpha * a + (1.0 - alpha) * self.ewma[i];
             } else {
                 self.ewma[i] = a;
                 self.ewma_seeded[i] = true;
@@ -191,17 +217,6 @@ impl SplitStats {
         }
         props.iter().map(|p| p / sum).collect()
     }
-
-    /// Convenience: ratios over the non-member children of `parent`.
-    pub fn ratios_for_children(
-        &self,
-        rule: SplitRule,
-        tree: &Tree,
-        children: &[NodeId],
-    ) -> Vec<f64> {
-        let _ = tree;
-        self.ratios(rule, children)
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +250,7 @@ mod tests {
         agg[kids[0].index()] = 6.0;
         agg[kids[1].index()] = 2.0;
         agg[kids[2].index()] = 0.0;
-        stats.record_unit(&agg, 0.5);
+        stats.record_unit(&agg, Some(0.5));
         let r = stats.ratios(SplitRule::LastTimeUnit, &kids);
         assert!((r[0] - 0.75).abs() < 1e-12);
         assert!((r[1] - 0.25).abs() < 1e-12);
@@ -250,7 +265,7 @@ mod tests {
             let mut agg = vec![0.0; t.len()];
             agg[kids[0].index()] = 1.0;
             agg[kids[1].index()] = if unit == 3 { 9.0 } else { 0.0 };
-            stats.record_unit(&agg, 0.5);
+            stats.record_unit(&agg, Some(0.5));
         }
         // totals: a = 4, b = 9 → LTH favours b, LTU favours b even more.
         let lth = stats.ratios(SplitRule::LongTermHistory, &kids);
@@ -264,14 +279,35 @@ mod tests {
         let mut stats = SplitStats::with_len(t.len());
         let mut agg = vec![0.0; t.len()];
         agg[kids[0].index()] = 8.0;
-        stats.record_unit(&agg, 0.25);
+        stats.record_unit(&agg, Some(0.25));
         agg[kids[0].index()] = 0.0;
         agg[kids[1].index()] = 8.0;
-        stats.record_unit(&agg, 0.25);
+        stats.record_unit(&agg, Some(0.25));
         // a: seeded 8 then 0.75·8 = 6; b: seeded... b was seeded at 0 on
         // the first unit, then 0.25·8 = 2.
         assert!((stats.property(SplitRule::Ewma { alpha: 0.25 }, kids[0]) - 6.0).abs() < 1e-12);
         assert!((stats.property(SplitRule::Ewma { alpha: 0.25 }, kids[1]) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_nodes_matches_record_unit_where_the_rest_is_zero() {
+        let (t, kids) = setup();
+        let (mut full, mut sparse) = (SplitStats::with_len(t.len()), SplitStats::with_len(t.len()));
+        for unit in 0..3 {
+            let mut agg = vec![0.0; t.len()];
+            agg[kids[unit % 2].index()] = 2.5 + unit as f64;
+            // Last unit's nodes are revisited so their `prev` resets.
+            let nodes = [kids[0].index(), kids[1].index()];
+            full.record_unit(&agg, Some(0.3));
+            sparse.record_nodes(&agg, nodes, Some(0.3));
+            assert_eq!(full, sparse, "unit {unit}");
+        }
+        // Without a rate the EWMA is left alone.
+        let before = sparse.row(kids[0].index());
+        sparse.record_unit(&vec![7.0; t.len()], None);
+        let after = sparse.row(kids[0].index());
+        assert_eq!((after.ewma, after.seeded), (before.ewma, before.seeded));
+        assert_eq!(after.prev, 7.0);
     }
 
     #[test]
@@ -292,7 +328,7 @@ mod tests {
         agg[kids[0].index()] = 3.0;
         agg[kids[1].index()] = 5.0;
         agg[kids[2].index()] = 11.0;
-        stats.record_unit(&agg, 0.5);
+        stats.record_unit(&agg, Some(0.5));
         for rule in [
             SplitRule::Uniform,
             SplitRule::LastTimeUnit,
@@ -314,7 +350,7 @@ mod tests {
     #[test]
     fn resize_preserves_existing() {
         let mut stats = SplitStats::with_len(2);
-        stats.record_unit(&[1.0, 2.0], 0.5);
+        stats.record_unit(&[1.0, 2.0], Some(0.5));
         stats.resize(4);
         assert_eq!(stats.len(), 4);
         assert_eq!(stats.prev[1], 2.0);
