@@ -1,33 +1,25 @@
 //! Versioned checkpoint envelope for detector state.
 //!
 //! Serialising a [`Tiresias`] or [`ShardedTiresias`] with serde yields
-//! a bare state object whose schema silently drifts as the structs
-//! evolve — PR 2 added the builder fields `shards` and
-//! `root_isolation`, and the vendored mini-serde has no
-//! `#[serde(default)]`, so pre-PR-2 checkpoints stopped loading until
-//! someone edited them by hand. This module wraps checkpoints in an
-//! explicit envelope instead:
+//! a bare state object whose schema drifts as the structs evolve, and
+//! the vendored mini-serde has no `#[serde(default)]` to paper over a
+//! missing field. This module wraps checkpoints in an explicit envelope
+//! instead, so a loader knows which schema it holds before it reads a
+//! single engine field:
 //!
 //! ```json
 //! {"version": 4, "kind": "sharded", "engine": { ...detector state... }}
 //! ```
 //!
-//! * `version` is [`CHECKPOINT_VERSION`]; loaders reject versions from
-//!   the future with a clear error instead of a field-by-field puzzle.
+//! * `version` is [`CHECKPOINT_VERSION`], the only version
+//!   [`load_checkpoint`] accepts. An older envelope, a bare engine state
+//!   with no envelope, and a version from the future are each refused
+//!   with an error naming what was found, instead of a field-by-field
+//!   puzzle.
 //! * `kind` is `"single"` ([`Tiresias`]) or `"sharded"`
 //!   ([`ShardedTiresias`]), so one load entry point restores either
 //!   engine.
 //! * `engine` is the detector's ordinary serde state.
-//!
-//! [`load_checkpoint`] also accepts **v1 checkpoints** — bare engine
-//! JSON with no envelope, as written before this module existed — and
-//! migrates them on load: every builder object missing the PR 2 fields
-//! gets `shards = 1` and `root_isolation = false`, which is exactly the
-//! configuration every pre-sharding detector ran with. **v3 and older
-//! envelopes** predate the router's pinned-override table (the
-//! skew-adaptive rebalancer's learned placement, the v4 addition);
-//! their router objects are migrated on load with an empty table —
-//! exactly the static hash routing those checkpoints ran with.
 
 use serde::Value;
 
@@ -35,12 +27,11 @@ use crate::detector::Tiresias;
 use crate::error::CoreError;
 use crate::sharded::ShardedTiresias;
 
-/// Current checkpoint envelope version. v4 added the
-/// [`crate::ShardRouter`]'s pinned-override table (`overrides`), the
-/// skew-adaptive rebalancer's learned placement — v3 routers migrate on
-/// load with an empty table; v3 moved the merged report store to the
-/// indexed, retention-aware [`crate::ReportStore`] schema (which still
-/// loads the v2 event-list shape transparently); v2 introduced the
+/// Current checkpoint envelope version, the only one
+/// [`load_checkpoint`] accepts. v4 added the [`crate::ShardRouter`]'s
+/// pinned-override table (`overrides`), the skew-adaptive rebalancer's
+/// learned placement; v3 moved the merged report store to the indexed,
+/// retention-aware [`crate::ReportStore`] schema; v2 introduced the
 /// envelope itself.
 pub const CHECKPOINT_VERSION: u64 = 4;
 
@@ -143,76 +134,62 @@ fn envelope(kind: &str, engine_json: &str) -> String {
     format!("{{\"version\":{CHECKPOINT_VERSION},\"kind\":\"{kind}\",\"engine\":{engine_json}}}")
 }
 
-/// Restores an engine from checkpoint JSON — the current versioned
-/// envelope or a legacy v1 bare-state checkpoint (see the
-/// [module docs](self) for the migration rules).
+/// Restores an engine from a [`CHECKPOINT_VERSION`] envelope.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Checkpoint`] on malformed JSON, an unsupported
-/// (future) version, an unknown `kind`, or engine state that fails to
-/// deserialise after migration.
+/// Returns [`CoreError::Checkpoint`] on malformed JSON, a missing or
+/// non-integer `version`, any version other than [`CHECKPOINT_VERSION`],
+/// an unknown `kind`, or engine state that fails to deserialise.
 pub fn load_checkpoint(json: &str) -> Result<CheckpointEngine, CoreError> {
     let value = serde_json::parse_value(json)
         .map_err(|e| CoreError::Checkpoint(format!("malformed checkpoint JSON: {e}")))?;
-    match map_get(&value, "version") {
-        Some(version) => {
-            let version = match version {
-                Value::U64(v) => *v,
-                Value::I64(v) if *v >= 0 => *v as u64,
-                other => {
-                    return Err(CoreError::Checkpoint(format!(
-                        "checkpoint version must be an integer, found {}",
-                        other.kind()
-                    )));
-                }
-            };
-            if version > CHECKPOINT_VERSION {
-                return Err(CoreError::Checkpoint(format!(
-                    "checkpoint version {version} is newer than the supported \
-                     version {CHECKPOINT_VERSION}; upgrade tiresias to load it"
-                )));
-            }
-            let kind = match map_get(&value, "kind") {
-                Some(Value::Str(kind)) => kind.clone(),
-                Some(other) => {
-                    return Err(CoreError::Checkpoint(format!(
-                        "checkpoint `kind` must be a string, found {}",
-                        other.kind()
-                    )));
-                }
-                None => {
-                    return Err(CoreError::Checkpoint(
-                        "checkpoint envelope is missing the `kind` field".into(),
-                    ));
-                }
-            };
-            let mut value = value;
-            if version < 4 {
-                // Pre-v4 routers carry no pinned-override table; an
-                // empty one is exactly the static routing they ran.
-                migrate_v3_routers(&mut value);
-            }
-            let engine = map_get(&value, "engine").ok_or_else(|| {
-                CoreError::Checkpoint("checkpoint envelope is missing the `engine` field".into())
-            })?;
-            engine_from_value(&kind, engine)
+    let version = match map_get(&value, "version") {
+        Some(Value::U64(v)) => *v,
+        Some(Value::I64(v)) if *v >= 0 => *v as u64,
+        Some(other) => {
+            return Err(CoreError::Checkpoint(format!(
+                "checkpoint version must be an integer, found {}",
+                other.kind()
+            )));
         }
-        // No `version` field: a v1 checkpoint — bare engine state from
-        // before the envelope existed. Migrate the breaking builder
-        // fields in place, then load it under its inferred kind.
         None => {
-            let mut value = value;
-            migrate_v1_builders(&mut value);
-            migrate_v3_routers(&mut value);
-            // Only `ShardedTiresias` carries a router; everything a v1
-            // deployment could have written is a single detector, but
-            // infer the kind structurally so a hand-rolled envelope-less
-            // sharded state loads too.
-            let kind = if map_get(&value, "router").is_some() { "sharded" } else { "single" };
-            engine_from_value(kind, &value)
+            return Err(CoreError::Checkpoint(format!(
+                "checkpoint has no `version` field (a bare pre-envelope v1 engine state?); \
+                 only version {CHECKPOINT_VERSION} loads"
+            )));
         }
+    };
+    if version > CHECKPOINT_VERSION {
+        return Err(CoreError::Checkpoint(format!(
+            "checkpoint version {version} is newer than the supported \
+             version {CHECKPOINT_VERSION}; upgrade tiresias to load it"
+        )));
     }
+    if version < CHECKPOINT_VERSION {
+        return Err(CoreError::Checkpoint(format!(
+            "checkpoint version {version} is older than the supported \
+             version {CHECKPOINT_VERSION}; only version {CHECKPOINT_VERSION} loads"
+        )));
+    }
+    let kind = match map_get(&value, "kind") {
+        Some(Value::Str(kind)) => kind.as_str(),
+        Some(other) => {
+            return Err(CoreError::Checkpoint(format!(
+                "checkpoint `kind` must be a string, found {}",
+                other.kind()
+            )));
+        }
+        None => {
+            return Err(CoreError::Checkpoint(
+                "checkpoint envelope is missing the `kind` field".into(),
+            ));
+        }
+    };
+    let engine = map_get(&value, "engine").ok_or_else(|| {
+        CoreError::Checkpoint("checkpoint envelope is missing the `engine` field".into())
+    })?;
+    engine_from_value(kind, engine)
 }
 
 /// Restores the concrete engine from its serde state value.
@@ -236,63 +213,6 @@ fn map_get<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
     match value {
         Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
         _ => None,
-    }
-}
-
-/// Walks the whole state tree and patches every builder object —
-/// recognised by its `timeunit_secs` + `window_len` signature — that
-/// predates PR 2: missing `shards` defaults to 1, missing
-/// `root_isolation` to `false`. Recursing (rather than patching one
-/// known path) also migrates the per-shard builders inside a sharded
-/// state.
-fn migrate_v1_builders(value: &mut Value) {
-    match value {
-        Value::Map(entries) => {
-            let is_builder = entries.iter().any(|(k, _)| k == "timeunit_secs")
-                && entries.iter().any(|(k, _)| k == "window_len");
-            if is_builder {
-                if !entries.iter().any(|(k, _)| k == "shards") {
-                    entries.push(("shards".to_string(), Value::U64(1)));
-                }
-                if !entries.iter().any(|(k, _)| k == "root_isolation") {
-                    entries.push(("root_isolation".to_string(), Value::Bool(false)));
-                }
-            }
-            for (_, v) in entries {
-                migrate_v1_builders(v);
-            }
-        }
-        Value::Seq(items) => {
-            for v in items {
-                migrate_v1_builders(v);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Patches every `router` object that predates the v4 pinned-override
-/// table with an empty one. Keyed on the field name (not the shape):
-/// only [`crate::ShardRouter`] serialises under `router`, and builder
-/// objects — which also carry a `shards` key — are never reached
-/// through it.
-fn migrate_v3_routers(value: &mut Value) {
-    if let Value::Map(entries) = value {
-        for (key, v) in entries.iter_mut() {
-            if key == "router" {
-                if let Value::Map(router) = v {
-                    let has = |k: &str| router.iter().any(|(rk, _)| rk == k);
-                    if has("shards") && !has("overrides") {
-                        router.push(("overrides".to_string(), Value::Seq(Vec::new())));
-                    }
-                }
-            }
-            migrate_v3_routers(v);
-        }
-    } else if let Value::Seq(items) = value {
-        for v in items {
-            migrate_v3_routers(v);
-        }
     }
 }
 
@@ -321,15 +241,6 @@ mod tests {
         d
     }
 
-    /// Serialises a current detector, then strips the PR 2 builder
-    /// fields to reconstruct what a v1 checkpoint looked like.
-    fn v1_checkpoint_json(d: &Tiresias) -> String {
-        let json = serde_json::to_string(d).unwrap();
-        let stripped = json.replace(",\"shards\":1,\"root_isolation\":false", "");
-        assert_ne!(stripped, json, "fields were present to strip");
-        stripped
-    }
-
     #[test]
     fn envelope_round_trips_single() {
         let d = fed_detector();
@@ -356,42 +267,6 @@ mod tests {
         };
         assert_eq!(restored.units_processed(), engine.units_processed());
         assert_eq!(restored.shard_count(), 3);
-    }
-
-    #[test]
-    fn v1_checkpoint_migrates_on_load() {
-        let d = fed_detector();
-        let v1 = v1_checkpoint_json(&d);
-        let CheckpointEngine::Single(mut restored) = load_checkpoint(&v1).unwrap() else {
-            panic!("expected a single detector");
-        };
-        // The migrated detector continues the stream identically.
-        let mut original = d;
-        for u in 6..10u64 {
-            let count = if u == 8 { 100 } else { 10 };
-            for i in 0..count {
-                original.push_str("TV/NoService", u * 900 + i).unwrap();
-                restored.push_str("TV/NoService", u * 900 + i).unwrap();
-            }
-        }
-        original.advance_to(10 * 900).unwrap();
-        restored.advance_to(10 * 900).unwrap();
-        assert_eq!(original.anomalies(), restored.anomalies());
-        assert!(!original.anomalies().is_empty(), "the burst is detected");
-    }
-
-    #[test]
-    fn v1_migration_defaults_are_recorded() {
-        let d = builder().build().unwrap();
-        let v1 = v1_checkpoint_json(&d);
-        let CheckpointEngine::Single(restored) = load_checkpoint(&v1).unwrap() else {
-            panic!("expected a single detector");
-        };
-        // Re-saving a migrated checkpoint produces a v2 envelope with
-        // the defaulted fields present.
-        let resaved = save_checkpoint(&CheckpointEngine::Single(restored));
-        assert!(resaved.contains("\"shards\":1"));
-        assert!(resaved.contains("\"root_isolation\":false"));
     }
 
     #[test]
@@ -445,38 +320,25 @@ mod tests {
     }
 
     #[test]
-    fn v3_checkpoint_router_migrates_to_an_empty_override_table() {
-        // Reconstruct a v3 checkpoint from a current one: the envelope
-        // version rolls back and the router loses its (empty) override
-        // table — the exact shape v3 deployments wrote.
+    fn pre_v4_checkpoints_are_refused_naming_the_version() {
+        // A v1 checkpoint: the bare engine state, with no envelope.
+        let v1 = serde_json::to_string(&fed_detector()).unwrap();
+        let err = load_checkpoint(&v1).unwrap_err();
+        assert!(matches!(err, CoreError::Checkpoint(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("no `version`") && msg.contains("v1"), "{msg}");
+
+        // A v3 envelope: the router carries no pinned-override table.
         let mut engine = builder().shards(3).build_sharded().unwrap();
         let batch: Vec<(String, u64)> =
             (0..5u64).flat_map(|u| (0..8).map(move |i| ("a/x".to_string(), u * 900 + i))).collect();
         engine.push_batch(&batch).unwrap();
-        let json = save_checkpoint(&CheckpointEngine::from(engine.clone()));
+        let json = save_checkpoint(&CheckpointEngine::from(engine));
         let v3 = json.replace("\"version\":4", "\"version\":3").replace(",\"overrides\":[]", "");
         assert_ne!(v3, json, "both replacements took effect");
-        let CheckpointEngine::Sharded(mut restored) = load_checkpoint(&v3).unwrap() else {
-            panic!("expected a sharded engine");
-        };
-        assert_eq!(restored.router().pinned_count(), 0, "static hash routing, as before");
-        // The migrated engine continues the stream identically — and
-        // can start pinning from here.
-        let mut original = engine;
-        let more: Vec<(String, u64)> = (5..9u64)
-            .flat_map(|u| {
-                let count = if u == 7 { 90 } else { 8 };
-                (0..count).map(move |i| ("a/x".to_string(), u * 900 + i))
-            })
-            .collect();
-        original.push_batch(&more).unwrap();
-        restored.pin_label("a", 2);
-        restored.push_batch(&more).unwrap();
-        original.advance_to(9 * 900).unwrap();
-        restored.advance_to(9 * 900).unwrap();
-        assert_eq!(restored.router().route("a/x"), 2);
-        assert_eq!(original.anomalies(), restored.anomalies());
-        assert!(!original.anomalies().is_empty(), "the burst is detected");
+        let err = load_checkpoint(&v3).unwrap_err();
+        assert!(matches!(err, CoreError::Checkpoint(_)), "{err}");
+        assert!(err.to_string().contains("version 3"), "{err}");
     }
 
     #[test]
@@ -491,13 +353,13 @@ mod tests {
     #[test]
     fn malformed_checkpoints_error_cleanly() {
         assert!(matches!(load_checkpoint("not json"), Err(CoreError::Checkpoint(_))));
-        assert!(matches!(load_checkpoint("{\"version\":2}"), Err(CoreError::Checkpoint(_))));
+        assert!(matches!(load_checkpoint("{\"version\":4}"), Err(CoreError::Checkpoint(_))));
         assert!(matches!(
-            load_checkpoint("{\"version\":2,\"kind\":\"weird\",\"engine\":{}}"),
+            load_checkpoint("{\"version\":4,\"kind\":\"weird\",\"engine\":{}}"),
             Err(CoreError::Checkpoint(_))
         ));
         assert!(matches!(
-            load_checkpoint("{\"version\":2,\"kind\":\"single\",\"engine\":{\"nope\":1}}"),
+            load_checkpoint("{\"version\":4,\"kind\":\"single\",\"engine\":{\"nope\":1}}"),
             Err(CoreError::Checkpoint(_))
         ));
     }

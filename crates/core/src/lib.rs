@@ -127,9 +127,6 @@ pub use error::CoreError;
 pub use export::{events_to_csv, CSV_HEADER};
 pub use fault::FaultFs;
 pub use live::{Admission, IngestHandle, LiveSharded, ReportReader, DEFAULT_MAX_AHEAD_UNITS};
-/// The detection-quality scoring module's pre-rename path (it was
-/// `metrics` before runtime telemetry claimed that word).
-pub use quality as metrics;
 pub use quality::{ComparisonReport, ConfusionCounts};
 pub use record::Record;
 pub use reference_method::{ControlChartConfig, ControlChartDetector};

@@ -104,9 +104,8 @@ pub struct ShardRouter {
 }
 
 /// Serialised form of [`ShardRouter`]: the shard count plus the pinned
-/// override table (the checkpoint-envelope v4 addition; v3 checkpoints
-/// migrate by inserting an empty table). The hash lookup is rebuilt on
-/// deserialisation.
+/// override table (the checkpoint-envelope v4 addition). The hash
+/// lookup is rebuilt on deserialisation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct RouterRepr {
     shards: u32,
@@ -433,7 +432,7 @@ impl Balancer {
 /// are processed by all shards in parallel. Anomalies from closed units
 /// are merged into a single [`ReportStore`] ordered by `(unit, path)` —
 /// an order that does not depend on the shard count (see the
-/// [module docs](self) for why the whole output is invariant).
+/// `sharded` module docs for why the whole output is invariant).
 ///
 /// The engine (all shards, the router and the merged store) serialises
 /// with serde exactly like the single-shard detector, so a sharded

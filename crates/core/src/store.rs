@@ -21,9 +21,8 @@
 //! budget. Sequence numbers keep advancing across eviction, so
 //! broadcast cursors ([`ReportStore::events_from`]) detect exactly how
 //! much history they missed. Retained history serialises with the rest
-//! of the engine state and survives a checkpoint round-trip; legacy
-//! checkpoints holding the old `{"events": [...]}` store shape load
-//! unchanged (the indexes rebuild from the event list).
+//! of the engine state and survives a checkpoint round-trip (the
+//! indexes rebuild on load).
 
 use serde::{Deserialize, Serialize, Value};
 
@@ -544,10 +543,7 @@ impl Serialize for ReportStore {
 
 impl<'de> Deserialize<'de> for ReportStore {
     /// Rebuilds the store from its serialised form. The indexes are
-    /// never serialised; they rebuild here. Legacy stores — the old
-    /// `{"events": [...]}` shape with no tree or retention state —
-    /// load too: the report tree and unit marks are reconstructed from
-    /// the event list.
+    /// never serialised; they rebuild here.
     fn from_value(value: &Value) -> Result<Self, serde::DeError> {
         let events: Vec<AnomalyEvent> = Deserialize::from_value(value.field("events")?)?;
         let opt_u64 = |name: &str| -> Result<Option<u64>, serde::DeError> {
@@ -560,34 +556,20 @@ impl<'de> Deserialize<'de> for ReportStore {
                 }
             }
         };
-        let mut tree = match value.field("tree") {
-            Ok(t) => Tree::from_value(t)?,
-            // Legacy store: rebuild the tree from the events. The root
-            // label is not recorded in that shape, so it defaults to
-            // `All` — cosmetic only (the root never appears in event
-            // paths or query results).
-            Err(_) => Tree::new("All"),
-        };
-        // Re-homing is idempotent on a serialised tree (every path is
-        // already interned) and builds the tree outright for legacy
-        // stores.
+        let mut tree = Tree::from_value(value.field("tree")?)?;
+        // Re-homing is idempotent on a serialised tree: every path is
+        // already interned.
         let mut events = events;
         for e in &mut events {
             e.node = tree.insert_category(&e.path);
         }
-        let last_closed = match value.field("last_closed") {
-            Ok(_) => opt_u64("last_closed")?,
-            // Legacy store (field absent entirely): events only exist
-            // for closed units, so derive the close watermark.
-            Err(_) => events.last().map(|e| e.unit),
-        };
         let mut store = ReportStore {
             tree,
             events,
             first_seq: opt_u64("first_seq")?.unwrap_or(0),
             units: Vec::new(),
             postings: Vec::new(),
-            last_closed,
+            last_closed: opt_u64("last_closed")?,
             retain_units: opt_u64("retain_units")?,
             evicted_events: opt_u64("evicted_events")?.unwrap_or(0),
             evicted_before: opt_u64("evicted_before")?.unwrap_or(0),
@@ -865,22 +847,5 @@ mod tests {
         assert_eq!(restored.last_closed_unit(), Some(8));
         let tv: CategoryPath = "tv".parse().unwrap();
         assert_eq!(restored.under(&tv).count(), 4);
-    }
-
-    #[test]
-    fn legacy_event_list_stores_still_load() {
-        // The pre-refactor EventStore shape: just an event list.
-        let mut reference = ReportStore::new();
-        reference.insert(event("tv/no-service", 3));
-        reference.insert(event("net/slow", 5));
-        let events_json = serde_json::to_string(&reference.events().to_vec()).expect("serialises");
-        let legacy = format!("{{\"events\":{events_json}}}");
-        let restored: ReportStore = serde_json::from_str(&legacy).expect("legacy shape loads");
-        assert_eq!(restored.len(), 2);
-        assert_eq!(restored.last_closed_unit(), Some(5), "derived from the newest event");
-        assert_eq!(restored.retention(), None);
-        let tv: CategoryPath = "tv".parse().unwrap();
-        assert_eq!(restored.under(&tv).count(), 1);
-        assert_eq!(restored.in_time_range(3, 4).count(), 1);
     }
 }

@@ -335,7 +335,7 @@ impl Tree {
     /// A path spelling seen before costs a single hash probe (the
     /// full-path memo); a new spelling walks the per-segment interner
     /// and child index, then memoises (bounded — see
-    /// [`Tree::memo_has_room`]). Only a never-before-seen spelling
+    /// `Tree::memo_has_room`). Only a never-before-seen spelling
     /// allocates (its memo key).
     ///
     /// Like the rest of the tree's indexes, the memo hashes with the

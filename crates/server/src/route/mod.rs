@@ -171,7 +171,7 @@ impl RouterShared {
     }
 }
 
-/// The routing daemon. See the [module docs](self) for semantics.
+/// The routing daemon. See the `route` module docs for semantics.
 pub struct Router {
     shared: Arc<RouterShared>,
     accept: JoinHandle<()>,

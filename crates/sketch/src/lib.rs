@@ -3,37 +3,31 @@
 //! The paper's lineage (§VIII) is the streaming heavy-hitter literature:
 //! count-min sketches (Cormode & Muthukrishnan), sketch-based change
 //! detection (Krishnamurthy et al.) and hierarchical heavy hitter
-//! mining. This crate provides the two classic primitives from that
-//! line, implemented from scratch, for deployments whose leaf spaces are
-//! too large to keep exact per-leaf counters (the full-scale SCD
-//! hierarchy has ≈360 000 set-top boxes):
+//! mining. This crate provides the candidate generator from that line,
+//! implemented from scratch, for deployments whose leaf spaces are too
+//! large to keep exact per-leaf counters (the full-scale SCD hierarchy
+//! has ≈360 000 set-top boxes):
 //!
-//! * [`CountMinSketch`] — fixed-size frequency summary with one-sided
-//!   (over-)estimates, mergeable across shards, with optional
-//!   conservative update,
 //! * [`SpaceSaving`] — the top-k counter that answers *which* keys are
 //!   currently heavy, with deterministic error bounds.
 //!
-//! Together they implement the standard recipe: Space-Saving proposes
-//! the candidate heavy leaves per timeunit, the count-min sketch (or the
-//! exact stream) scores them, and the resulting sparse count vector
+//! Space-Saving proposes the candidate heavy leaves per timeunit, the
+//! exact stream scores them, and the resulting sparse count vector
 //! feeds the exact SHHH machinery of `tiresias-hhh` — approximating only
 //! the leaf tail that cannot matter to any θ-heavy hitter.
 //!
 //! # Example
 //!
 //! ```
-//! use tiresias_sketch::{CountMinSketch, SpaceSaving};
+//! use tiresias_sketch::SpaceSaving;
 //!
-//! let mut cms = CountMinSketch::with_dimensions(4, 1024, 7);
 //! let mut top = SpaceSaving::new(8);
 //! for (key, count) in [(10u64, 500), (77, 300), (3, 4), (9, 2)] {
 //!     for _ in 0..count {
-//!         cms.add(key, 1);
 //!         top.add(key, 1);
 //!     }
 //! }
-//! assert!(cms.estimate(10) >= 500); // never under-estimates
+//! assert!(top.estimate(10) >= 500); // never under-estimates
 //! let heavy: Vec<u64> = top.top(2).iter().map(|e| e.key).collect();
 //! assert_eq!(heavy, vec![10, 77]);
 //! ```
@@ -41,8 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod count_min;
 mod space_saving;
 
-pub use count_min::CountMinSketch;
 pub use space_saving::{SpaceSaving, TopEntry};

@@ -119,16 +119,6 @@ impl SpaceSaving {
         all
     }
 
-    /// Every monitored entry whose **guaranteed** count
-    /// (`count − error`) reaches `threshold` — candidates that are
-    /// certainly heavy.
-    pub fn guaranteed_heavy(&self, threshold: u64) -> Vec<TopEntry> {
-        let mut out: Vec<TopEntry> =
-            self.counters.values().filter(|e| e.lower_bound() >= threshold).copied().collect();
-        out.sort_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
-        out
-    }
-
     /// `true` iff `key` is currently monitored.
     pub fn contains(&self, key: u64) -> bool {
         self.counters.contains_key(&key)
@@ -211,22 +201,6 @@ mod tests {
             assert!(e.count >= t, "never underestimates");
             assert!(e.count - t <= bound, "overestimate within N/k");
         }
-    }
-
-    #[test]
-    fn guaranteed_heavy_is_sound() {
-        let mut s = SpaceSaving::new(4);
-        for _ in 0..500 {
-            s.add(7, 1);
-        }
-        for k in 0..100u64 {
-            s.add(k * 3 + 100, 1);
-        }
-        for e in s.guaranteed_heavy(400) {
-            assert_eq!(e.key, 7);
-            assert!(e.lower_bound() >= 400);
-        }
-        assert_eq!(s.guaranteed_heavy(400).len(), 1);
     }
 
     #[test]

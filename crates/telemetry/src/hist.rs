@@ -66,7 +66,7 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 /// A lock-free log-linear histogram of `u64` samples (nanoseconds, by
-/// convention). See the [module docs](self).
+/// convention). See the `hist` module docs.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Box<[AtomicU64; BUCKETS]>,

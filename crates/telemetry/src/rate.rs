@@ -24,7 +24,7 @@ struct RateState {
     last_rate: f64,
 }
 
-/// A thread-safe windowed rate meter. See the [module docs](self).
+/// A thread-safe windowed rate meter. See the `rate` module docs.
 #[derive(Debug, Default)]
 pub struct RateMeter {
     state: Mutex<Option<RateState>>,

@@ -118,7 +118,7 @@ const EXPO_BOUNDS_NS: [u64; 13] = [
     16_000_000_000,
 ];
 
-/// A per-instance metric registry. See the [module docs](self).
+/// A per-instance metric registry. See the `registry` module docs.
 #[derive(Default)]
 pub struct Registry {
     entries: Mutex<Vec<Entry>>,

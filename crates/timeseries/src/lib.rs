@@ -13,10 +13,6 @@
 //! * [`HoltWinters`] / [`MultiSeasonalHoltWinters`] — the additive
 //!   Holt-Winters seasonal model of §VI, with the 2υ-cycle initialisation
 //!   and the linearity operations justified by the paper's Lemma 2,
-//! * [`fit_holt_winters`] — offline mean-squared-error grid search for the
-//!   smoothing parameters (§VII "System parameters"),
-//! * [`MultiScaleSeries`] — the geometric multi-time-scale series of
-//!   §V-B6 (Fig. 10) with amortised-Θ(1) updates,
 //! * [`stats`] — small numeric helpers (mean, variance, quantiles,
 //!   normalisation) shared across the workspace.
 //!
@@ -37,21 +33,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod brutlag;
 mod error;
 mod ewma;
-mod fit;
 mod forecast;
 mod holt_winters;
-mod multiscale;
 mod series;
 pub mod stats;
 
-pub use brutlag::{BandVerdict, BrutlagBand};
 pub use error::TimeSeriesError;
 pub use ewma::{split_bias_relative_error, Ewma};
-pub use fit::{fit_holt_winters, FitReport, HwParams, ParamGrid};
 pub use forecast::{Forecaster, LinearForecaster};
 pub use holt_winters::{HoltWinters, MultiSeasonalHoltWinters, SeasonalFactor};
-pub use multiscale::MultiScaleSeries;
 pub use series::Series;

@@ -10,11 +10,11 @@
 //! * [`hierarchy`] — additive category hierarchies ([`Tree`],
 //!   [`CategoryPath`], [`HierarchySpec`]),
 //! * [`timeseries`] — ring-buffer series, EWMA and Holt-Winters seasonal
-//!   forecasting, multi-time-scale series,
+//!   forecasting,
 //! * [`spectral`] — FFT periodograms and à-trous wavelet seasonality
 //!   analysis,
-//! * [`sketch`] — count-min and space-saving streaming summaries for
-//!   very large leaf spaces,
+//! * [`sketch`] — the Space-Saving top-k summary for very large leaf
+//!   spaces,
 //! * [`hhh`] — succinct hierarchical heavy hitters, the strawman `Sta`
 //!   and the adaptive `Ada` maintenance algorithms,
 //! * [`datagen`] — synthetic CCD/SCD operational-data generators with

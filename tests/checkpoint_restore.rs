@@ -1,9 +1,12 @@
 //! Checkpoint/restore: the trackers and the whole detector serialise
 //! with serde, and a restored instance continues the stream exactly
 //! where the original would have — warm-up buffers, forecaster state,
-//! heavy hitter series and the anomaly store all round-trip.
+//! heavy hitter series and the anomaly store all round-trip — and the
+//! versioned envelope that carries either engine to disk.
 
-use tiresias::core::{Record, TiresiasBuilder};
+use tiresias::core::{
+    load_checkpoint, save_checkpoint, CheckpointEngine, CoreError, Record, TiresiasBuilder,
+};
 use tiresias::datagen::{ccd_location_spec, InjectedAnomaly, Workload, WorkloadConfig};
 use tiresias::hhh::{Ada, HhhConfig, ModelSpec};
 use tiresias::hierarchy::Tree;
@@ -161,4 +164,50 @@ fn anomaly_events_serialise_to_json() {
     assert!(json.contains("\"path\""));
     let restored: tiresias::core::ReportStore = serde_json::from_str(&json).expect("deserialises");
     assert_eq!(&restored, d.store());
+}
+
+fn envelope_builder() -> TiresiasBuilder {
+    TiresiasBuilder::new()
+        .timeunit_secs(900)
+        .window_len(32)
+        .threshold(5.0)
+        .season_length(4)
+        .sensitivity(2.0, 5.0)
+        .warmup_units(4)
+}
+
+#[test]
+fn sharded_envelope_round_trips_mid_stream() {
+    let records: Vec<(String, u64)> = (0..8u64)
+        .flat_map(|u| {
+            (0..10u64).flat_map(move |i| {
+                [("TV/NoService".to_string(), u * 900 + i), ("Net/Slow".to_string(), u * 900 + i)]
+            })
+        })
+        .collect();
+    let split = records.len() / 2;
+
+    let mut reference = envelope_builder().shards(4).build_sharded().unwrap();
+    reference.push_batch(&records).unwrap();
+
+    let mut engine = envelope_builder().shards(4).build_sharded().unwrap();
+    engine.push_batch(&records[..split]).unwrap();
+    let json = save_checkpoint(&CheckpointEngine::from(engine));
+    assert!(json.contains("\"kind\":\"sharded\""));
+    let CheckpointEngine::Sharded(mut resumed) = load_checkpoint(&json).unwrap() else {
+        panic!("expected a sharded engine");
+    };
+    resumed.push_batch(&records[split..]).unwrap();
+
+    assert_eq!(reference.anomalies(), resumed.anomalies());
+    assert_eq!(reference.heavy_hitter_paths(), resumed.heavy_hitter_paths());
+    assert_eq!(reference.units_processed(), resumed.units_processed());
+}
+
+#[test]
+fn unsupported_and_malformed_checkpoints_fail_clearly() {
+    let err = load_checkpoint("{\"version\":5,\"kind\":\"single\",\"engine\":{}}").unwrap_err();
+    assert!(matches!(err, CoreError::Checkpoint(_)));
+    assert!(err.to_string().contains("version 5"));
+    assert!(matches!(load_checkpoint("{nope"), Err(CoreError::Checkpoint(_))));
 }

@@ -1,12 +1,10 @@
 //! Integration of the sketch substrate with the heavy hitter machinery:
-//! Space-Saving candidate generation feeding exact SHHH computation, and
-//! count-min scoring of hierarchy leaves.
+//! Space-Saving candidate generation feeding exact SHHH computation.
 
 use proptest::prelude::*;
 
-use tiresias::hhh::compute_shhh;
 use tiresias::hierarchy::HierarchySpec;
-use tiresias::sketch::{CountMinSketch, SpaceSaving};
+use tiresias::sketch::SpaceSaving;
 
 #[test]
 fn space_saving_preserves_theta_heavy_leaves() {
@@ -45,61 +43,8 @@ fn space_saving_preserves_theta_heavy_leaves() {
     }
 }
 
-#[test]
-fn cms_scored_candidates_recover_leaf_heavy_hitters() {
-    // Score Space-Saving candidates with a count-min sketch and feed
-    // the (upper-bound) counts to SHHH: every exact leaf heavy hitter
-    // must reappear (CMS never under-estimates).
-    let tree = HierarchySpec::new("All").level("X", 8).level("Y", 8).build().unwrap();
-    let leaves: Vec<_> = tree.iter().filter(|&n| tree.is_leaf(n)).collect();
-    let theta = 25.0;
-    let mut direct = vec![0.0; tree.len()];
-    for (i, &l) in leaves.iter().enumerate() {
-        direct[l.index()] = if i % 9 == 0 { 40.0 } else { 2.0 };
-    }
-    let exact = compute_shhh(&tree, &direct, theta);
-
-    let mut cms = CountMinSketch::for_error(0.005, 0.01, 99);
-    let mut ss = SpaceSaving::new(64);
-    for &l in &leaves {
-        let c = direct[l.index()] as u64;
-        if c > 0 {
-            cms.add(l.index() as u64, c);
-            ss.add(l.index() as u64, c);
-        }
-    }
-    let mut approx = vec![0.0; tree.len()];
-    for e in ss.top(64) {
-        approx[e.key as usize] = cms.estimate(e.key) as f64;
-    }
-    let sketched = compute_shhh(&tree, &approx, theta);
-    for &m in &exact.members {
-        if tree.is_leaf(m) {
-            assert!(
-                sketched.is_member[m.index()],
-                "leaf heavy hitter {} lost by sketching",
-                tree.path_of(m)
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// CMS estimates dominate true counts for arbitrary streams.
-    #[test]
-    fn cms_never_underestimates(pairs in prop::collection::vec((0u64..500, 1u64..20), 1..200)) {
-        let mut cms = CountMinSketch::with_dimensions(4, 128, 5);
-        let mut truth = std::collections::HashMap::new();
-        for &(k, c) in &pairs {
-            cms.add(k, c);
-            *truth.entry(k).or_insert(0u64) += c;
-        }
-        for (k, t) in truth {
-            prop_assert!(cms.estimate(k) >= t);
-        }
-    }
 
     /// Space-Saving estimates dominate true counts and the summary never
     /// exceeds its budget.
@@ -118,22 +63,5 @@ proptest! {
             prop_assert!(e.lower_bound() <= t, "lower bound above truth");
         }
         prop_assert_eq!(ss.total(), pairs.iter().map(|&(_, c)| c).sum::<u64>());
-    }
-
-    /// Merged CMS shards equal the single-stream sketch exactly.
-    #[test]
-    fn cms_shards_merge_exactly(
-        xs in prop::collection::vec((0u64..200, 1u64..5), 0..100),
-        ys in prop::collection::vec((0u64..200, 1u64..5), 0..100),
-    ) {
-        let mut a = CountMinSketch::with_dimensions(3, 64, 11);
-        let mut b = CountMinSketch::with_dimensions(3, 64, 11);
-        let mut whole = CountMinSketch::with_dimensions(3, 64, 11);
-        for &(k, c) in &xs { a.add(k, c); whole.add(k, c); }
-        for &(k, c) in &ys { b.add(k, c); whole.add(k, c); }
-        a.merge(&b).expect("same shape");
-        for k in 0..200u64 {
-            prop_assert_eq!(a.estimate(k), whole.estimate(k));
-        }
     }
 }
