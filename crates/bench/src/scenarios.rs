@@ -22,19 +22,6 @@ pub fn ccd_location_workload(scale: f64, base_rate: f64, seed: u64) -> Workload 
     Workload::new(tree, WorkloadConfig::ccd(base_rate), seed)
 }
 
-/// The CCD location workload with Zipfian mass over the top-level
-/// (VHO) labels — the skewed traffic that motivates adaptive shard
-/// rebalancing. `zipf_s` is the top-level Zipf exponent (`--zipf-s`).
-pub fn ccd_location_workload_skewed(
-    scale: f64,
-    base_rate: f64,
-    seed: u64,
-    zipf_s: f64,
-) -> Workload {
-    let tree = ccd_location_spec(scale).build().expect("static spec is valid");
-    Workload::new(tree, WorkloadConfig::ccd(base_rate).with_top_level_skew(zipf_s), seed)
-}
-
 /// SCD crash-log workload (National → CO → DSLAM → STB).
 pub fn scd_workload(scale: f64, base_rate: f64, seed: u64) -> Workload {
     let tree = scd_location_spec(scale).build().expect("static spec is valid");

@@ -33,8 +33,7 @@
 //!   timestamp. Labels are interned in the tree, warm paths resolve
 //!   with a single hash probe, and the open unit is counted into a
 //!   recycled dense buffer — no heap allocation per record in steady
-//!   state (see `BENCH_ingest.json` at the repository root for the
-//!   measured throughput gap).
+//!   state.
 //! * [`Tiresias::push`] — the same semantics from an owned [`Record`]
 //!   (byte-identical results; convenient when paths are already
 //!   parsed).
@@ -53,8 +52,7 @@
 //! into one deterministically ordered store. Its output is
 //! **shard-count invariant**: 1, 2, 4 or 8 shards produce byte-identical
 //! heavy hitter paths and anomaly streams (see the [`sharded`
-//! module](ShardedTiresias) docs for the argument, and
-//! `BENCH_sharded.json` at the repository root for the scaling curve).
+//! module](ShardedTiresias) docs for the argument).
 //!
 //! # Serving: lock-free concurrent admission
 //!

@@ -263,10 +263,8 @@ struct FrontShared {
     /// admitted against watermark `W` precedes the close frame that
     /// closes `W`.
     wal: Option<Arc<Wal>>,
-    /// Hot-path latency histograms, `None` when the engine runs
-    /// untelemetered (the bench baseline): admission then pays no
-    /// clock reads at all.
-    telem: Option<EngineTelemetry>,
+    /// Hot-path latency histograms.
+    telem: EngineTelemetry,
 }
 
 impl FrontShared {
@@ -338,8 +336,8 @@ impl IngestHandle {
             return Ok(());
         }
         let s = &*self.shared;
-        // One clock read per batch (and none at all untelemetered).
-        let t_admit = s.telem.as_ref().map(|_| Instant::now());
+        // One clock read per batch.
+        let t_admit = Instant::now();
         let _gate = s.gate.read().expect("gate never poisoned");
         if s.closed.load(Ordering::SeqCst) {
             return Err(CoreError::Closed);
@@ -438,24 +436,14 @@ impl IngestHandle {
         for (idx, chunk) in batch.take_chunks() {
             s.queued[idx].fetch_add(chunk.records(), Ordering::SeqCst);
             let msg = ShardMsg::Cells { wm, chunk };
-            let delivered = match &s.telem {
-                Some(t) => match s.rings[idx].push_timing_stall(msg) {
-                    Some(stall) => {
-                        // Only backpressure stalls are interesting; an
-                        // uncontended hand-off records nothing.
-                        if stall > 0 {
-                            t.ring_stall.record(stall);
-                        }
-                        true
-                    }
-                    None => false,
-                },
-                None => s.rings[idx].push(msg),
-            };
-            if !delivered {
+            match s.rings[idx].push_timing_stall(msg) {
+                // Only backpressure stalls are interesting; an
+                // uncontended hand-off records nothing.
+                Some(stall) if stall > 0 => s.telem.ring_stall.record(stall),
+                Some(_) => {}
                 // Only an abandoned ring (engine torn down mid-push)
                 // refuses; report the closure.
-                return Err(CoreError::Closed);
+                None => return Err(CoreError::Closed),
             }
         }
         if n_accepted > 0 {
@@ -482,9 +470,7 @@ impl IngestHandle {
                 Ordering::SeqCst,
             );
         }
-        if let (Some(t0), Some(t)) = (t_admit, &s.telem) {
-            t.admit.record_duration(t0.elapsed());
-        }
+        s.telem.admit.record_duration(t_admit.elapsed());
         Ok(())
     }
 
@@ -784,7 +770,7 @@ struct LiveInner {
 ///     .warmup_units(8)
 ///     .shards(4)
 ///     .build_sharded()?
-///     .into_live(DEFAULT_MAX_AHEAD_UNITS)?;
+///     .into_live(DEFAULT_MAX_AHEAD_UNITS, None)?;
 /// let handle = engine.handle();
 ///
 /// // Session threads clone `handle` and admit concurrently; a
@@ -826,7 +812,6 @@ impl LiveSharded {
         mut engine: ShardedTiresias,
         max_ahead_units: u64,
         wal: Option<Arc<Wal>>,
-        telemetry: bool,
     ) -> Result<LiveSharded, CoreError> {
         // Every unit the scheduler can derive from an admissible
         // watermark must stay below the sentinel and multiply by the
@@ -849,9 +834,9 @@ impl LiveSharded {
         let units_done = engine.units_processed();
         let parts = engine.into_parts();
         let n = parts.shards.len();
-        let telem = telemetry.then(EngineTelemetry::new);
-        if let (Some(t), Some(wal)) = (&telem, &wal) {
-            wal.set_telemetry(Arc::clone(&t.wal_append), Arc::clone(&t.wal_fsync));
+        let telem = EngineTelemetry::new();
+        if let Some(wal) = &wal {
+            wal.set_telemetry(Arc::clone(&telem.wal_append), Arc::clone(&telem.wal_fsync));
         }
         let shared = Arc::new(FrontShared {
             router: RwLock::new(parts.router),
@@ -927,11 +912,10 @@ impl LiveSharded {
         IngestHandle { shared: Arc::clone(&self.inner().shared) }
     }
 
-    /// The engine's hot-path latency histograms — `None` when the
-    /// engine was built untelemetered. Cheap to clone (a handful of
-    /// `Arc`s); the serving layer registers them into its exported
-    /// [`tiresias_telemetry::Registry`].
-    pub fn telemetry(&self) -> Option<EngineTelemetry> {
+    /// The engine's hot-path latency histograms. Cheap to clone (a
+    /// handful of `Arc`s); the serving layer registers them into its
+    /// exported [`tiresias_telemetry::Registry`].
+    pub fn telemetry(&self) -> EngineTelemetry {
         self.inner().shared.telem.clone()
     }
 
@@ -983,9 +967,7 @@ impl LiveSharded {
     /// [`LiveSharded::reader`]s.
     pub fn set_spill(&mut self, seg: Arc<SegmentStore>) {
         let inner = self.inner.as_mut().expect("live engine present until finish");
-        if let Some(t) = &inner.shared.telem {
-            seg.set_telemetry(Arc::clone(&t.spill));
-        }
+        seg.set_telemetry(Arc::clone(&inner.shared.telem.spill));
         inner.spill = Some(seg);
     }
 
@@ -1285,7 +1267,7 @@ fn collect_acks(
     // offline merge; the store re-homes each event onto its report
     // tree. The write lock is held only for this merge; readers
     // resume the moment it drops.
-    let t_merge = inner.shared.telem.as_ref().map(|_| Instant::now());
+    let t_merge = Instant::now();
     inner.pending.sort_by(|a, b| (a.unit, &a.path).cmp(&(b.unit, &b.path)));
     {
         let mut store = inner.store.write().expect("report lock never poisoned");
@@ -1305,9 +1287,7 @@ fn collect_acks(
             }
         }
     }
-    if let (Some(t0), Some(t)) = (t_merge, &inner.shared.telem) {
-        t.merge.record_duration(t0.elapsed());
-    }
+    inner.shared.telem.merge.record_duration(t_merge.elapsed());
     Ok(first_err)
 }
 
@@ -1465,13 +1445,11 @@ fn run_worker(
             }
             ShardMsg::Barrier { seq, from, target } => {
                 if poison.is_none() {
-                    let t0 = shared.telem.as_ref().map(|_| Instant::now());
+                    let t0 = Instant::now();
                     if let Err(e) = close_shard(&mut shard, &mut stash, from, target, timeunit) {
                         poison_shard(shared, &mut poison, e);
                     }
-                    if let (Some(t0), Some(t)) = (t0, &shared.telem) {
-                        t.close.record_duration(t0.elapsed());
-                    }
+                    shared.telem.close.record_duration(t0.elapsed());
                 }
                 update_gauges(idx, &shard, &stash, shared);
                 let error = if reported { None } else { poison.clone() };
@@ -1654,7 +1632,7 @@ mod tests {
             .shards(4)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         let handle = live.handle();
         let mut outcomes = Vec::new();
@@ -1686,7 +1664,7 @@ mod tests {
             .shards(2)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         let handle = live.handle();
         assert_eq!(handle.admit("a/x", 10).unwrap(), Admission::Accepted);
@@ -1709,7 +1687,7 @@ mod tests {
 
     #[test]
     fn late_and_ahead_records_are_counted_exactly() {
-        let mut live = builder().shards(2).build_sharded().unwrap().into_live(100).unwrap();
+        let mut live = builder().shards(2).build_sharded().unwrap().into_live(100, None).unwrap();
         let handle = live.handle();
         assert_eq!(handle.max_ahead_units(), 100);
         assert_eq!(handle.admit("a/x", 900).unwrap(), Admission::Accepted, "anchors at unit 1");
@@ -1758,7 +1736,7 @@ mod tests {
             .shards(2)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         let handle = live.handle();
         let mut outcomes = Vec::new();
@@ -1786,7 +1764,7 @@ mod tests {
             .shards(4)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         let handle = live.handle();
         let mut outcomes = Vec::new();
@@ -1798,7 +1776,7 @@ mod tests {
 
         // Phase two: resumed live, fed the rest.
         let resumed: ShardedTiresias = serde_json::from_str(&json).expect("deserialises");
-        let mut live = resumed.into_live(DEFAULT_MAX_AHEAD_UNITS).unwrap();
+        let mut live = resumed.into_live(DEFAULT_MAX_AHEAD_UNITS, None).unwrap();
         let handle = live.handle();
         admit_all(&handle, &records[split..], &mut outcomes);
         live.close_to(10).unwrap();
@@ -1818,7 +1796,7 @@ mod tests {
             .shards(4)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         // Anchor deterministically before the race.
         assert_eq!(live.handle().admit(&records[0].0, records[0].1).unwrap(), Admission::Accepted);
@@ -1851,7 +1829,7 @@ mod tests {
             .shards(2)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         let handle = live.handle();
         assert_eq!(handle.shard_count(), 2);
@@ -1885,7 +1863,7 @@ mod tests {
             .shards(2)
             .build_sharded()
             .unwrap()
-            .into_live(10)
+            .into_live(10, None)
             .unwrap();
         let handle = live.handle();
         assert_eq!(
@@ -1908,7 +1886,7 @@ mod tests {
             .shards(3)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         assert_eq!(live.watermark(), None);
         let finished = live.finish().unwrap();
@@ -1946,7 +1924,7 @@ mod tests {
             .shards(4)
             .build_sharded()
             .unwrap()
-            .into_live_durable(DEFAULT_MAX_AHEAD_UNITS, Some(Arc::new(wal)))
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, Some(Arc::new(wal)))
             .unwrap();
         let handle = live.handle();
         let mut outcomes = Vec::new();
@@ -1970,7 +1948,7 @@ mod tests {
             .shards(4)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         let handle = live.handle();
         for entry in recovered.entries {
@@ -2001,7 +1979,7 @@ mod tests {
             .shards(2)
             .build_sharded()
             .unwrap()
-            .into_live_durable(DEFAULT_MAX_AHEAD_UNITS, Some(Arc::new(wal)))
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, Some(Arc::new(wal)))
             .unwrap();
         let handle = live.handle();
         let mut outcomes = Vec::new();
@@ -2059,7 +2037,7 @@ mod tests {
             .shards(4)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         let seg =
             Arc::new(SegmentStore::open(&dir, crate::segments::DEFAULT_SEGMENT_BYTES).unwrap());
@@ -2121,7 +2099,7 @@ mod tests {
             .shards(4)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         live.set_rebalance(RebalanceConfig::enabled().with_threshold(1.05));
         let handle = live.handle();
@@ -2159,7 +2137,7 @@ mod tests {
             .shards(4)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         let handle = live.handle();
         let mut outcomes = Vec::new();
@@ -2198,7 +2176,7 @@ mod tests {
             .shards(2)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         let handle = live.handle();
         let mut outcomes = Vec::new();
@@ -2230,7 +2208,7 @@ mod tests {
             .shards(2)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap();
         assert_eq!(live.close_to(5).unwrap(), None);
         let handle = live.handle();

@@ -611,45 +611,20 @@ impl ShardedTiresias {
     /// how far ahead of the open timeunit a record may be (see
     /// [`crate::DEFAULT_MAX_AHEAD_UNITS`]).
     ///
-    /// # Errors
-    ///
-    /// Propagates shard errors from aligning a mid-stream engine.
-    pub fn into_live(self, max_ahead_units: u64) -> Result<crate::LiveSharded, CoreError> {
-        crate::LiveSharded::from_engine(self, max_ahead_units, None, true)
-    }
-
-    /// [`ShardedTiresias::into_live`] with a write-ahead log attached:
-    /// every admitted batch and every close barrier is appended to
-    /// `wal` under the live engine's epoch gate before it takes
-    /// effect, so a crash-interrupted run replays to exactly the acked
-    /// state. Pass `None` for a WAL-less live engine (identical to
-    /// [`ShardedTiresias::into_live`]).
+    /// With a write-ahead log attached, every admitted batch and every
+    /// close barrier is appended to `wal` under the live engine's epoch
+    /// gate before it takes effect, so a crash-interrupted run replays
+    /// to exactly the acked state. Pass `None` for a WAL-less engine.
     ///
     /// # Errors
     ///
     /// Propagates shard errors from aligning a mid-stream engine.
-    pub fn into_live_durable(
+    pub fn into_live(
         self,
         max_ahead_units: u64,
         wal: Option<std::sync::Arc<crate::Wal>>,
     ) -> Result<crate::LiveSharded, CoreError> {
-        crate::LiveSharded::from_engine(self, max_ahead_units, wal, true)
-    }
-
-    /// [`ShardedTiresias::into_live_durable`] with hot-path telemetry
-    /// switched off: no latency histograms exist and admission performs
-    /// no clock reads — the baseline the benchmark compares the
-    /// instrumented engine against (`telemetry_tax_pct`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates shard errors from aligning a mid-stream engine.
-    pub fn into_live_untelemetered(
-        self,
-        max_ahead_units: u64,
-        wal: Option<std::sync::Arc<crate::Wal>>,
-    ) -> Result<crate::LiveSharded, CoreError> {
-        crate::LiveSharded::from_engine(self, max_ahead_units, wal, false)
+        crate::LiveSharded::from_engine(self, max_ahead_units, wal)
     }
 
     /// Number of shards.
@@ -945,8 +920,7 @@ impl ShardedTiresias {
     ///
     /// Routing, interner lookups and ring synchronisation are amortised
     /// per batch; batches of a few thousand records or more make the
-    /// per-record overhead negligible (see `BENCH_sharded.json`'s batch
-    /// sweep).
+    /// per-record overhead negligible.
     ///
     /// # Errors
     ///

@@ -5,9 +5,7 @@
 //! Recording is lock-free (`tiresias-telemetry`'s contract) and every
 //! stage is timed at *batch* or *unit* granularity — one `Instant`
 //! pair per admitted batch, closed unit, WAL append or segment spill —
-//! never per record, so the instrumented hot path stays within noise
-//! of the bare one (CI gates the tax at 5%, see `BENCH_serve.json`'s
-//! `telemetry_tax_pct`).
+//! never per record.
 
 use std::sync::Arc;
 

@@ -128,11 +128,6 @@ pub struct ServerConfig {
     /// Slow-op threshold in milliseconds (`--slow-ms`); only meaningful
     /// with a [`ServerConfig::slow_log`].
     pub slow_ms: u64,
-    /// Whether the engine's hot paths carry latency histograms
-    /// (default). `false` runs the engine untelemetered — zero clock
-    /// reads on admission — and is the baseline the benchmark's
-    /// `telemetry_tax_pct` compares against.
-    pub telemetry: bool,
     /// Skew-adaptive shard rebalancing policy (`--rebalance`,
     /// `--balance-threshold`). Disabled by default: labels stay on
     /// their hash-assigned shard. When enabled, per-epoch load
@@ -165,7 +160,6 @@ impl ServerConfig {
             metrics_addr: None,
             slow_log: None,
             slow_ms: DEFAULT_SLOW_MS,
-            telemetry: true,
             rebalance: RebalanceConfig::default(),
         }
     }
@@ -445,13 +439,7 @@ impl Server {
         let wal = durable.as_ref().map(|(wal, _)| Arc::clone(wal));
         let segments_arc = durable.as_ref().map(|(_, seg)| Arc::clone(seg));
         let wal_arc = wal.clone();
-        let mut live = if config.telemetry {
-            engine.into_live_durable(config.max_ahead_units, wal)
-        } else {
-            // The bench baseline: zero clock reads on the hot paths.
-            engine.into_live_untelemetered(config.max_ahead_units, wal)
-        }
-        .map_err(ServerError::Core)?;
+        let mut live = engine.into_live(config.max_ahead_units, wal).map_err(ServerError::Core)?;
         live.set_rebalance(config.rebalance);
         let mut recovered_batches = 0u64;
         let mut recovered_units = 0u64;
@@ -478,7 +466,7 @@ impl Server {
         let addr = listener.local_addr().map_err(ServerError::Io)?;
 
         // Capture the engine's histograms before `Inner` takes the
-        // engine (`None` when running untelemetered).
+        // engine.
         let engine_telem = live.telemetry();
         let mut inner = Inner::new(live, config.grace);
         if let Some((wal, segments)) = durable {
@@ -502,7 +490,7 @@ impl Server {
         };
         let proto = ProtoCounters::default();
         let telem = telemetry::build(
-            engine_telem.as_ref(),
+            &engine_telem,
             &front,
             &reader,
             &hub,

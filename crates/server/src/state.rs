@@ -566,7 +566,7 @@ mod tests {
             .shards(2)
             .build_sharded()
             .unwrap()
-            .into_live(DEFAULT_MAX_AHEAD_UNITS)
+            .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
             .unwrap()
     }
 

@@ -56,12 +56,11 @@ pub(crate) struct ServerTelemetry {
     pub slow: Option<Arc<SlowLog>>,
 }
 
-/// Builds the daemon's registry. `engine` is `None` when the engine
-/// runs untelemetered (the bench baseline) — the derived counters and
-/// gauges still export, only the hot-path histograms go missing.
+/// Builds the daemon's registry: the engine's hot-path histograms
+/// first, then the derived counters and gauges.
 #[allow(clippy::too_many_arguments)] // a one-caller assembly function: every arg is one metric source
 pub(crate) fn build(
-    engine: Option<&EngineTelemetry>,
+    engine: &EngineTelemetry,
     front: &IngestHandle,
     reader: &ReportReader,
     hub: &Arc<Hub>,
@@ -71,9 +70,7 @@ pub(crate) fn build(
     proto: &ProtoCounters,
 ) -> ServerTelemetry {
     let registry = Arc::new(Registry::new());
-    if let Some(t) = engine {
-        t.register_into(&registry);
-    }
+    engine.register_into(&registry);
     let query = registry.histogram(
         "tiresias_query_seconds",
         "QUERY request latency over the retained report store.",

@@ -77,7 +77,7 @@ fn allocations_do_not_grow_with_the_record_count() {
         .shards(2)
         .build_sharded()
         .expect("valid config")
-        .into_live(DEFAULT_MAX_AHEAD_UNITS)
+        .into_live(DEFAULT_MAX_AHEAD_UNITS, None)
         .expect("goes live");
     let handle = live.handle();
     let paths: Vec<String> =

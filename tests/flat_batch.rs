@@ -164,7 +164,7 @@ proptest! {
             .shards(SHARDS)
             .build_sharded()
             .expect("valid config")
-            .into_live(MAX_AHEAD)
+            .into_live(MAX_AHEAD, None)
             .expect("goes live");
         let handle = live.handle();
         let mut batch = RecordBatch::new();
@@ -265,7 +265,7 @@ fn scenario_with_moves_stash_and_every_outcome_detects_and_matches() {
         .shards(SHARDS)
         .build_sharded()
         .expect("valid config")
-        .into_live(MAX_AHEAD)
+        .into_live(MAX_AHEAD, None)
         .expect("goes live");
     let handle = live.handle();
     let mut batch = RecordBatch::new();
