@@ -79,20 +79,13 @@ impl FaultFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tempfile(tag: &str, content: &[u8]) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!(
-            "tiresias-fault-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::write(&path, content).unwrap();
-        path
-    }
+    use crate::testutil::TempDir;
 
     #[test]
     fn truncate_flip_and_zero_are_exact() {
-        let path = tempfile("ops", &[0u8; 16]);
+        let dir = TempDir::new("fault-ops");
+        let path = dir.join("file");
+        std::fs::write(&path, [0u8; 16]).unwrap();
         FaultFs::truncate_at(&path, 10).unwrap();
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 10);
         FaultFs::flip_bit(&path, 3, 0).unwrap();
@@ -116,7 +109,9 @@ mod tests {
         raw.extend_from_slice(&0u32.to_le_bytes());
         raw.extend_from_slice(b"defgh");
         raw.extend_from_slice(&9u32.to_le_bytes()); // torn header
-        let path = tempfile("frames", &raw);
+        let dir = TempDir::new("fault-frames");
+        let path = dir.join("file");
+        std::fs::write(&path, &raw).unwrap();
         let frames = FaultFs::frame_offsets(&path).unwrap();
         assert_eq!(frames, vec![(0, 11), (11, 13)]);
     }

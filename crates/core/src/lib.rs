@@ -111,6 +111,8 @@ mod segments;
 mod sharded;
 mod store;
 mod telem;
+#[cfg(test)]
+mod testutil;
 mod wal;
 
 pub use anomaly::{is_anomalous, is_drop, AnomalyEvent, AnomalyKind};

@@ -1579,31 +1579,7 @@ fn make_ack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::TiresiasBuilder;
-
-    fn builder() -> TiresiasBuilder {
-        TiresiasBuilder::new()
-            .timeunit_secs(900)
-            .window_len(32)
-            .threshold(5.0)
-            .season_length(4)
-            .sensitivity(2.0, 5.0)
-            .warmup_units(4)
-            .ref_levels(2)
-    }
-
-    fn burst_batch(paths: &[&str], units: u64, burst_unit: u64) -> Vec<(String, u64)> {
-        let mut batch = Vec::new();
-        for u in 0..units {
-            for (k, p) in paths.iter().enumerate() {
-                let count = if u == burst_unit && k == 0 { 80 } else { 8 };
-                for i in 0..count {
-                    batch.push((p.to_string(), u * 900 + i));
-                }
-            }
-        }
-        batch
-    }
+    use crate::testutil::{builder, burst_batch, TempDir};
 
     /// Admits `records` as one [`RecordBatch`].
     fn admit_all(handle: &IngestHandle, records: &[(String, u64)], outcomes: &mut Vec<Admission>) {
@@ -1895,24 +1871,13 @@ mod tests {
         assert!(finished.anomalies().is_empty());
     }
 
-    fn tempdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "tiresias-live-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn wal_replay_reconstructs_the_acked_stream() {
         use crate::wal::{read_wal, WalEntry, WalSyncPolicy, DEFAULT_WAL_SEGMENT_BYTES};
 
         let paths = ["TV/NoService", "Net/Slow", "Phone/Dead"];
         let records = burst_batch(&paths, 10, 9);
-        let dir = tempdir("wal-replay");
+        let dir = TempDir::new("live-wal-replay");
 
         // First life: a durable live engine admits in chunks with
         // interleaved closes, then is dropped without a drain — the
@@ -1963,14 +1928,13 @@ mod tests {
             }
         }
         assert_eq!(live.anomalies(), expected);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wal_append_failure_pauses_admission_without_closing_the_engine() {
         use crate::wal::WalSyncPolicy;
 
-        let dir = tempdir("wal-pause");
+        let dir = TempDir::new("live-wal-pause");
         // 1-byte segments force a rotation (a new file in `dir`) on
         // every append, so deleting the directory makes the next
         // append fail like a dying disk would.
@@ -2016,7 +1980,6 @@ mod tests {
         assert_eq!(outcomes, [Admission::Accepted]);
         assert_eq!(handle.admitted(), 2, "only the logged records were acknowledged");
         live.close_to(1).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2026,7 +1989,7 @@ mod tests {
         // retention budget by the time unit 12 closes — forcing a
         // spill to the archive tier.
         let records = burst_batch(&paths, 12, 6);
-        let dir = tempdir("spill");
+        let dir = TempDir::new("live-spill");
 
         // Unbounded reference: every event the stream produces.
         let offline = offline_replay(&records, 4, 12);
@@ -2069,7 +2032,6 @@ mod tests {
         assert!(merged.iter().filter(|e| e.unit < ram_from).count() > 0);
         let disk_only = reader.query_merged(0, ram_from - 1, None, None, usize::MAX).unwrap();
         assert!(disk_only.iter().all(|e| e.unit < ram_from));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

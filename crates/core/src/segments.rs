@@ -484,17 +484,7 @@ mod tests {
     use super::*;
     use crate::anomaly::AnomalyKind;
     use crate::fault::FaultFs;
-
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "tiresias-seg-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::testutil::TempDir;
 
     fn event(unit: u64, path: &str) -> AnomalyEvent {
         AnomalyEvent {
@@ -522,7 +512,7 @@ mod tests {
 
     #[test]
     fn spill_query_and_reopen_round_trip() {
-        let dir = tempdir("roundtrip");
+        let dir = TempDir::new("seg-roundtrip");
         let seg = SegmentStore::open(&dir, 1 << 20).unwrap();
         assert_eq!(seg.spill(0, &run()).unwrap(), 5);
         assert_eq!(seg.next_seq(), 5);
@@ -546,7 +536,7 @@ mod tests {
 
     #[test]
     fn respills_below_next_seq_are_skipped() {
-        let dir = tempdir("dedupe");
+        let dir = TempDir::new("seg-dedupe");
         let seg = SegmentStore::open(&dir, 1 << 20).unwrap();
         seg.spill(0, &run()).unwrap();
         // A crash-replay re-evicts the same prefix plus one new unit.
@@ -559,7 +549,7 @@ mod tests {
 
     #[test]
     fn rotation_splits_spills_across_files() {
-        let dir = tempdir("rotate");
+        let dir = TempDir::new("seg-rotate");
         let seg = SegmentStore::open(&dir, 1).unwrap(); // rotate every spill
         seg.spill(0, &run()[0..2]).unwrap();
         seg.spill(2, &run()[2..]).unwrap();
@@ -572,7 +562,7 @@ mod tests {
 
     #[test]
     fn read_from_seq_replays_the_archive() {
-        let dir = tempdir("replay");
+        let dir = TempDir::new("seg-replay");
         let seg = SegmentStore::open(&dir, 1 << 20).unwrap();
         seg.spill(0, &run()).unwrap();
         let (start, events) = seg.read_from_seq(0, 100).unwrap();
@@ -588,7 +578,7 @@ mod tests {
 
     #[test]
     fn torn_spill_tail_is_truncated_on_open() {
-        let dir = tempdir("torn");
+        let dir = TempDir::new("seg-torn");
         let seg = SegmentStore::open(&dir, 1 << 20).unwrap();
         seg.spill(0, &run()).unwrap();
         drop(seg);
@@ -607,7 +597,7 @@ mod tests {
 
     #[test]
     fn stale_idx_is_rebuilt_from_the_log() {
-        let dir = tempdir("idx");
+        let dir = TempDir::new("seg-idx");
         let seg = SegmentStore::open(&dir, 1 << 20).unwrap();
         seg.spill(0, &run()).unwrap();
         drop(seg);
@@ -625,7 +615,7 @@ mod tests {
 
     #[test]
     fn corrupt_block_fails_its_read_loudly() {
-        let dir = tempdir("crc");
+        let dir = TempDir::new("seg-crc");
         let seg = SegmentStore::open(&dir, 1 << 20).unwrap();
         seg.spill(0, &run()).unwrap();
         let log = dir.join(log_name(0));

@@ -1201,31 +1201,7 @@ impl ShardedTiresias {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::TiresiasBuilder;
-
-    fn builder() -> TiresiasBuilder {
-        TiresiasBuilder::new()
-            .timeunit_secs(900)
-            .window_len(32)
-            .threshold(5.0)
-            .season_length(4)
-            .sensitivity(2.0, 5.0)
-            .warmup_units(4)
-            .ref_levels(2)
-    }
-
-    fn burst_batch(paths: &[&str], units: u64, burst_unit: u64) -> Vec<(String, u64)> {
-        let mut batch = Vec::new();
-        for u in 0..units {
-            for (k, p) in paths.iter().enumerate() {
-                let count = if u == burst_unit && k == 0 { 80 } else { 8 };
-                for i in 0..count {
-                    batch.push((p.to_string(), u * 900 + i));
-                }
-            }
-        }
-        batch
-    }
+    use crate::testutil::{builder, burst_batch};
 
     #[test]
     fn router_is_deterministic_and_top_level_only() {

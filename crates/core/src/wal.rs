@@ -728,17 +728,7 @@ pub fn encode_record(buf: &mut Vec<u8>, path: &str, t_secs: u64) {
 mod tests {
     use super::*;
     use crate::fault::FaultFs;
-
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "tiresias-wal-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::testutil::TempDir;
 
     fn batch(records: &[(&str, u64)]) -> Vec<(String, u64)> {
         records.iter().map(|(p, t)| (p.to_string(), *t)).collect()
@@ -772,7 +762,7 @@ mod tests {
 
     #[test]
     fn round_trips_batches_and_closes() {
-        let dir = tempdir("roundtrip");
+        let dir = TempDir::new("wal-roundtrip");
         let (wal, rec) = Wal::open(&dir, WalSyncPolicy::EveryBatch, 1 << 20).unwrap();
         assert!(rec.entries.is_empty());
         assert_eq!(wal.append_batch(&batch(&[("a/x", 5), ("b/y", 7)])).unwrap(), 1);
@@ -798,7 +788,7 @@ mod tests {
 
     #[test]
     fn rotates_segments_and_recovers_across_them() {
-        let dir = tempdir("rotate");
+        let dir = TempDir::new("wal-rotate");
         // Tiny segment budget: every frame rotates.
         let (wal, _) = Wal::open(&dir, WalSyncPolicy::Never, 8).unwrap();
         for i in 0..5u64 {
@@ -813,7 +803,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_not_fatal() {
-        let dir = tempdir("torn");
+        let dir = TempDir::new("wal-torn");
         let (wal, _) = Wal::open(&dir, WalSyncPolicy::EveryBatch, 1 << 20).unwrap();
         wal.append_batch(&batch(&[("a/x", 1)])).unwrap();
         wal.append_batch(&batch(&[("a/y", 2)])).unwrap();
@@ -838,7 +828,7 @@ mod tests {
 
     #[test]
     fn bit_flip_truncates_at_corrupt_frame() {
-        let dir = tempdir("flip");
+        let dir = TempDir::new("wal-flip");
         let (wal, _) = Wal::open(&dir, WalSyncPolicy::EveryBatch, 1 << 20).unwrap();
         wal.append_batch(&batch(&[("a/x", 1)])).unwrap();
         wal.append_batch(&batch(&[("a/y", 2)])).unwrap();
@@ -857,7 +847,7 @@ mod tests {
 
     #[test]
     fn replaying_suppresses_appends() {
-        let dir = tempdir("replay");
+        let dir = TempDir::new("wal-replay");
         let (wal, _) = Wal::open(&dir, WalSyncPolicy::EveryBatch, 1 << 20).unwrap();
         wal.set_replaying(true);
         assert_eq!(wal.append_batch(&batch(&[("a/x", 1)])).unwrap(), 0);
@@ -869,7 +859,7 @@ mod tests {
 
     #[test]
     fn truncate_consumed_drops_checkpointed_segments() {
-        let dir = tempdir("consume");
+        let dir = TempDir::new("wal-consume");
         let (wal, _) = Wal::open(&dir, WalSyncPolicy::Never, 8).unwrap();
         for i in 0..4u64 {
             wal.append_batch(&batch(&[("cat/x", i)])).unwrap();
@@ -888,7 +878,7 @@ mod tests {
 
     #[test]
     fn partial_truncate_keeps_unconsumed_tail() {
-        let dir = tempdir("partial");
+        let dir = TempDir::new("wal-partial");
         let (wal, _) = Wal::open(&dir, WalSyncPolicy::Never, 8).unwrap();
         for i in 0..4u64 {
             wal.append_batch(&batch(&[("cat/x", i)])).unwrap();
@@ -902,7 +892,7 @@ mod tests {
 
     #[test]
     fn read_wal_reports_without_repairing() {
-        let dir = tempdir("readonly");
+        let dir = TempDir::new("wal-readonly");
         let (wal, _) = Wal::open(&dir, WalSyncPolicy::EveryBatch, 1 << 20).unwrap();
         wal.append_batch(&batch(&[("a/x", 1)])).unwrap();
         wal.append_batch(&batch(&[("a/y", 2)])).unwrap();

@@ -6,16 +6,12 @@
 //! merged event stream must equal an offline replay of exactly the
 //! accepted records; and the late/ahead counters must be exact.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use tiresias_core::TiresiasBuilder;
-use tiresias_server::protocol::format_event;
 use tiresias_server::{Server, ServerConfig};
+use tiresias_testkit::{offline_events, served, wait_until, workload, Client, TIMEUNIT};
 
-const TIMEUNIT: u64 = 60;
 const CLIENTS: usize = 8;
 const CATEGORIES: u64 = 8;
 const UNITS: u64 = 10;
@@ -26,112 +22,9 @@ const MAX_AHEAD: u64 = 50;
 const LATE_PER_CLIENT: usize = 5;
 const AHEAD_PER_CLIENT: usize = 3;
 
-fn builder() -> TiresiasBuilder {
-    TiresiasBuilder::new()
-        .timeunit_secs(TIMEUNIT)
-        .window_len(16)
-        .threshold(5.0)
-        .season_length(4)
-        .sensitivity(2.0, 5.0)
-        .warmup_units(4)
-        .shards(2)
-}
-
-/// Unit-ordered records: steady traffic over eight top-level
-/// categories with bursts injected at `BURST_UNIT` on two of them.
-fn workload() -> Vec<(String, u64)> {
-    let mut records = Vec::new();
-    for u in 0..UNITS {
-        for k in 0..CATEGORIES {
-            let count = if u == BURST_UNIT && (k == 0 || k == 3) { 80 } else { 8 };
-            for i in 0..count {
-                records.push((format!("cat{k}/leaf"), u * TIMEUNIT + (i % TIMEUNIT)));
-            }
-        }
-    }
-    records
-}
-
-fn offline_event_frames(records: &[(String, u64)]) -> Vec<String> {
-    let mut engine = builder().build_sharded().expect("valid test config");
-    engine.push_batch(records).expect("replay ingests");
-    let mut frames: Vec<String> = engine.anomalies().iter().map(format_event).collect();
-    frames.sort();
-    frames
-}
-
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(server: &Server) -> Client {
-        let stream = TcpStream::connect(server.local_addr()).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
-        let reader = BufReader::new(stream.try_clone().expect("clones"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("writes");
-        self.stream.write_all(b"\n").expect("writes");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("reads a reply line");
-        line.trim_end().to_string()
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-}
-
-fn collect_events(subscriber: &mut Client, expected: usize, deadline: Duration) -> Vec<String> {
-    let start = Instant::now();
-    let mut frames = Vec::new();
-    while frames.len() < expected && start.elapsed() < deadline {
-        let mut line = String::new();
-        match subscriber.reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let line = line.trim_end();
-                if line.starts_with("EVENT ") {
-                    frames.push(line.to_string());
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => panic!("subscriber read failed: {e}"),
-        }
-    }
-    frames
-}
-
-/// Polls `STATS` until the open unit reaches `unit` (closes are
-/// grace-driven, so this simply outwaits the grace window).
-fn await_open_unit(client: &mut Client, unit: u64) {
-    let needle = format!("open_unit={unit} ");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats = client.roundtrip("STATS");
-        if stats.contains(&needle) {
-            return;
-        }
-        assert!(Instant::now() < deadline, "open unit never reached {unit}: {stats}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
 #[test]
 fn eight_clients_admit_concurrently_with_exact_accounting() {
-    let mut config = ServerConfig::new(builder());
+    let mut config = ServerConfig::new(served());
     // The grace window must outlast the whole in-order push phase (so
     // no straggler is closed out from under a slow client thread) but
     // stay short enough that the forced closes actually happen.
@@ -140,13 +33,17 @@ fn eight_clients_admit_concurrently_with_exact_accounting() {
     config.max_ahead_units = MAX_AHEAD;
     let server = Server::start(config).expect("server starts");
 
-    let records = workload();
+    // Unit-ordered records: steady traffic over eight top-level
+    // categories with bursts at `BURST_UNIT` on two of them.
+    let records = workload(UNITS, CATEGORIES, BURST_UNIT, &[0, 3], 80);
     let expected_events = {
         // The fence record below is admitted too, so the replay
-        // includes it.
+        // includes it. Sorted: live frames arrive in close order.
         let mut all = records.clone();
         all.push(("fence/advance".to_string(), UNITS * TIMEUNIT + 1));
-        offline_event_frames(&all)
+        let mut frames = offline_events(served(), &all);
+        frames.sort();
+        frames
     };
     assert!(!expected_events.is_empty(), "the workload produces anomalies");
 
@@ -166,8 +63,7 @@ fn eight_clients_admit_concurrently_with_exact_accounting() {
             scope.spawn(move || {
                 let mut client = Client::connect(server);
                 while !stop.load(Ordering::SeqCst) {
-                    let stats = client.roundtrip("STATS");
-                    assert!(stats.starts_with("STATS "), "{stats}");
+                    client.stats();
                     snapshots.fetch_add(1, Ordering::SeqCst);
                 }
             })
@@ -190,7 +86,7 @@ fn eight_clients_admit_concurrently_with_exact_accounting() {
                     for (path, t) in &mine {
                         payload.push_str(&format!("PUSH {path} {t}\n"));
                     }
-                    client.stream.write_all(payload.as_bytes()).expect("bulk push");
+                    client.send_bytes(payload.as_bytes());
                     for i in 0..mine.len() {
                         assert_eq!(client.recv(), "OK", "record {i} of client {c} admitted");
                     }
@@ -208,7 +104,8 @@ fn eight_clients_admit_concurrently_with_exact_accounting() {
             control.roundtrip(&format!("PUSH fence/advance {}", UNITS * TIMEUNIT + 1)),
             "OK"
         );
-        await_open_unit(&mut control, UNITS);
+        // Closes are grace-driven: this outwaits the grace window.
+        wait_until(&server, |s| s.field("open_unit") == UNITS.to_string());
 
         // Phase 3: exact late/ahead accounting. Every client pushes
         // LATE_PER_CLIENT records of the long-closed unit 0 and
@@ -247,20 +144,20 @@ fn eight_clients_admit_concurrently_with_exact_accounting() {
     // Exact accounting: every workload record plus the fence was
     // admitted; every phase-3 record was dropped and counted.
     let mut control = Client::connect(&server);
-    let stats = control.roundtrip("STATS");
+    let stats = control.stats();
     let accepted = records.len() + 1;
-    assert!(stats.contains(&format!("records={accepted} ")), "{stats}");
-    assert!(stats.contains(&format!("late={} ", CLIENTS * LATE_PER_CLIENT)), "{stats}");
-    assert!(stats.contains(&format!("ahead={} ", CLIENTS * AHEAD_PER_CLIENT)), "{stats}");
+    assert_eq!(stats.num("records"), accepted as u64, "{stats}");
+    assert_eq!(stats.num("late"), (CLIENTS * LATE_PER_CLIENT) as u64, "{stats}");
+    assert_eq!(stats.num("ahead"), (CLIENTS * AHEAD_PER_CLIENT) as u64, "{stats}");
     // The new per-shard gauges are present, one slot per shard.
-    for field in ["shard_open=", "rings="] {
-        let value = stats.split(field).nth(1).expect(field).split(' ').next().unwrap();
-        assert_eq!(value.split('|').count(), 2, "{field} has one slot per shard: {stats}");
+    for field in ["shard_open", "rings"] {
+        let slots = stats.field(field).split('|').count();
+        assert_eq!(slots, 2, "{field}= has one slot per shard: {stats}");
     }
 
     // The live event stream equals the offline replay of exactly the
     // accepted records — late/ahead drops included in neither.
-    let mut got = collect_events(&mut subscriber, expected_events.len(), Duration::from_secs(30));
+    let mut got = subscriber.collect_events(expected_events.len(), Duration::from_secs(30));
     got.sort();
     assert_eq!(got, expected_events, "live anomaly stream equals the offline replay");
 

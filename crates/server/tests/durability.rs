@@ -4,30 +4,15 @@
 //! survive torn `.tmp` leftovers; and the retention budget must spill
 //! to segments that `QUERY`/`SUBSCRIBE FROM` serve transparently.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::time::Duration;
 
-use tiresias_core::{TiresiasBuilder, WalSyncPolicy};
-use tiresias_server::protocol::format_event;
+use tiresias_core::WalSyncPolicy;
 use tiresias_server::{Server, ServerConfig};
-
-const TIMEUNIT: u64 = 60;
-
-fn builder() -> TiresiasBuilder {
-    TiresiasBuilder::new()
-        .timeunit_secs(TIMEUNIT)
-        .window_len(16)
-        .threshold(5.0)
-        .season_length(4)
-        .sensitivity(2.0, 5.0)
-        .warmup_units(4)
-        .shards(2)
-}
+use tiresias_testkit::{offline_events, served, stats, wait_until, Client, TempDir, TIMEUNIT};
 
 fn config(data_dir: &Path) -> ServerConfig {
-    let mut config = ServerConfig::new(builder());
+    let mut config = ServerConfig::new(served());
     config.grace = Duration::from_millis(400);
     config.tick = Duration::from_millis(20);
     config.data_dir = Some(data_dir.to_path_buf());
@@ -35,17 +20,6 @@ fn config(data_dir: &Path) -> ServerConfig {
     // taken below must contain everything a client saw acknowledged.
     config.wal_sync = WalSyncPolicy::EveryBatch;
     config
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tiresias-durability-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id(),
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir creates");
-    dir
 }
 
 /// Copies a data directory recursively — the moral equivalent of the
@@ -64,136 +38,19 @@ fn snapshot(src: &Path, dst: &Path) {
     }
 }
 
-/// Steady traffic over `categories` top-level labels for `units`
-/// timeunits; every category in `burst_cats` bursts at `burst_unit`.
+/// [`tiresias_testkit::workload`] plus a sentinel one unit past it,
+/// which drives the data watermark so every workload unit closes
+/// deterministically — included here so the offline ground truth
+/// closes the same units the server does.
 fn workload(
     units: u64,
     categories: u64,
     burst_unit: u64,
     burst_cats: &[u64],
 ) -> Vec<(String, u64)> {
-    let mut records = Vec::new();
-    for u in 0..units {
-        for k in 0..categories {
-            let count = if u == burst_unit && burst_cats.contains(&k) { 80 } else { 8 };
-            for i in 0..count {
-                records.push((format!("cat{k}/leaf"), u * TIMEUNIT + (i % TIMEUNIT)));
-            }
-        }
-    }
-    // A sentinel one unit past the workload drives the data watermark
-    // so every workload unit closes deterministically — included here
-    // so the offline ground truth closes the same units the server
-    // does.
+    let mut records = tiresias_testkit::workload(units, categories, burst_unit, burst_cats, 80);
     records.push(("cat0/leaf".to_string(), units * TIMEUNIT));
     records
-}
-
-/// The offline ground truth: the same records through a fresh,
-/// unbounded sharded engine, as `EVENT` frames in `(unit, path)` order.
-fn offline_event_frames(records: &[(String, u64)]) -> Vec<String> {
-    let mut engine = builder().build_sharded().expect("valid test config");
-    engine.push_batch(records).expect("replay ingests");
-    engine.anomalies().iter().map(format_event).collect()
-}
-
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(server: &Server) -> Client {
-        let stream = TcpStream::connect(server.local_addr()).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
-        let reader = BufReader::new(stream.try_clone().expect("clones"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("writes");
-        self.stream.write_all(b"\n").expect("writes");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("reads a reply line");
-        line.trim_end().to_string()
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-
-    fn stats(&mut self) -> String {
-        self.send("STATS");
-        loop {
-            let line = self.recv();
-            if line.starts_with("STATS ") || line.starts_with("ERR ") {
-                return line;
-            }
-        }
-    }
-
-    fn query(&mut self, request: &str) -> (Vec<String>, usize) {
-        self.send(request);
-        let mut frames = Vec::new();
-        loop {
-            let line = self.recv();
-            if let Some(n) = line.strip_prefix("OK n=") {
-                return (frames, n.parse().expect("count parses"));
-            }
-            assert!(line.starts_with("EVENT "), "unexpected QUERY reply: {line}");
-            frames.push(line);
-        }
-    }
-
-    fn collect_events(&mut self, expected: usize, deadline: Duration) -> Vec<String> {
-        let start = Instant::now();
-        let mut frames = Vec::new();
-        while frames.len() < expected && start.elapsed() < deadline {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => break,
-                Ok(_) => {
-                    let line = line.trim_end();
-                    if line.starts_with("EVENT ") {
-                        frames.push(line.to_string());
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) => panic!("subscriber read failed: {e}"),
-            }
-        }
-        frames
-    }
-}
-
-fn wait_for_stats(server: &Server, predicate: impl Fn(&str) -> bool) -> String {
-    let mut client = Client::connect(server);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = client.stats();
-        if predicate(&stats) {
-            client.send("QUIT");
-            return stats;
-        }
-        assert!(Instant::now() < deadline, "STATS never converged: {stats}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-fn stats_field(stats: &str, key: &str) -> String {
-    stats
-        .split_whitespace()
-        .find_map(|pair| pair.strip_prefix(&format!("{key}=")))
-        .unwrap_or_else(|| panic!("{key} missing from {stats}"))
-        .to_string()
 }
 
 /// Feeds every record (the workload's trailing sentinel drives the
@@ -205,7 +62,7 @@ fn feed(server: &Server, records: &[(String, u64)]) {
     for (path, t) in records {
         payload.push_str(&format!("PUSH {path} {t}\n"));
     }
-    feeder.stream.write_all(payload.as_bytes()).expect("bulk push");
+    feeder.send_bytes(payload.as_bytes());
     assert_eq!(feeder.roundtrip("PING"), "PONG");
     feeder.send("QUIT");
 }
@@ -214,22 +71,21 @@ fn feed(server: &Server, records: &[(String, u64)]) {
 /// event count (only valid without a retention budget).
 fn feed_and_settle(server: &Server, records: &[(String, u64)], expected_events: usize) {
     feed(server, records);
-    let needle = format!("events={expected_events} ");
-    wait_for_stats(server, |s| s.contains(&needle));
+    wait_until(server, |s| s.num("events") == expected_events as u64);
 }
 
 #[test]
 fn crash_image_replays_the_wal_into_the_acked_stream() {
-    let live_dir = tempdir("crash-live");
-    let crash_dir = tempdir("crash-image");
+    let live_dir = TempDir::new("durability-crash-live");
+    let crash_dir = TempDir::new("durability-crash-image");
     let records = workload(10, 6, 8, &[0, 3]);
-    let expected = offline_event_frames(&records);
+    let expected = offline_events(served(), &records);
     assert!(expected.len() >= 2, "the workload produces anomalies: {expected:?}");
 
     let server = Server::start(config(&live_dir)).expect("server starts");
     feed_and_settle(&server, &records, expected.len());
-    let stats = wait_for_stats(&server, |s| s.contains("wal_seq="));
-    assert!(stats_field(&stats, "wal_seq").parse::<u64>().expect("number") > 0, "{stats}");
+    let stats = stats(&server);
+    assert!(stats.num("wal_seq") > 0, "{stats}");
 
     // The crash image: WAL segments only, no shutdown checkpoint —
     // exactly what `kill -9` would leave.
@@ -242,32 +98,23 @@ fn crash_image_replays_the_wal_into_the_acked_stream() {
     // Restart from the image: the full acked stream comes back from
     // WAL replay alone.
     let revived = Server::start(config(&crash_dir)).expect("server recovers");
-    let stats = wait_for_stats(&revived, |s| s.contains(&format!("events={} ", expected.len())));
-    assert!(
-        stats_field(&stats, "recovered_batches").parse::<u64>().expect("number") > 0,
-        "recovery replayed WAL batches: {stats}"
-    );
-    assert!(
-        stats_field(&stats, "recovered_units").parse::<u64>().expect("number") > 0,
-        "recovery re-closed timeunits: {stats}"
-    );
+    let stats = wait_until(&revived, |s| s.num("events") == expected.len() as u64);
+    assert!(stats.num("recovered_batches") > 0, "recovery replayed WAL batches: {stats}");
+    assert!(stats.num("recovered_units") > 0, "recovery re-closed timeunits: {stats}");
     let mut client = Client::connect(&revived);
-    let (frames, n) = client.query("QUERY 0 9999");
-    assert_eq!(n, frames.len());
+    let (frames, _) = client.query("QUERY 0 9999");
     assert_eq!(frames, expected, "post-crash QUERY equals the offline replay exactly");
 
     client.send("SHUTDOWN");
     revived.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&live_dir);
-    let _ = std::fs::remove_dir_all(&crash_dir);
 }
 
 #[test]
 fn oversized_paths_are_refused_and_later_records_survive_a_restart() {
-    let live_dir = tempdir("oversize-live");
-    let crash_dir = tempdir("oversize-image");
+    let live_dir = TempDir::new("durability-oversize-live");
+    let crash_dir = TempDir::new("durability-oversize-image");
     let records = workload(10, 6, 8, &[0, 3]);
-    let expected = offline_event_frames(&records);
+    let expected = offline_events(served(), &records);
     assert!(expected.len() >= 2, "the workload produces anomalies: {expected:?}");
     let (before, after) = records.split_at(records.len() / 2);
 
@@ -299,22 +146,20 @@ fn oversized_paths_are_refused_and_later_records_survive_a_restart() {
     // Everything acked after the refused paths is still there after a
     // crash: the WAL holds exactly the acked records.
     let revived = Server::start(config(&crash_dir)).expect("server recovers");
-    wait_for_stats(&revived, |s| s.contains(&format!("events={} ", expected.len())));
+    wait_until(&revived, |s| s.num("events") == expected.len() as u64);
     let mut client = Client::connect(&revived);
     let (frames, _) = client.query("QUERY 0 9999");
     assert_eq!(frames, expected, "post-crash QUERY equals the offline replay exactly");
 
     client.send("SHUTDOWN");
     revived.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&live_dir);
-    let _ = std::fs::remove_dir_all(&crash_dir);
 }
 
 #[test]
 fn clean_shutdown_checkpoints_atomically_and_ignores_torn_tmp() {
-    let dir = tempdir("clean");
+    let dir = TempDir::new("durability-clean");
     let records = workload(10, 6, 8, &[1]);
-    let expected = offline_event_frames(&records);
+    let expected = offline_events(served(), &records);
     assert!(!expected.is_empty(), "the workload produces anomalies");
 
     let server = Server::start(config(&dir)).expect("server starts");
@@ -334,10 +179,10 @@ fn clean_shutdown_checkpoints_atomically_and_ignores_torn_tmp() {
     std::fs::write(dir.join("checkpoint.tmp"), torn).expect("torn tmp writes");
 
     let revived = Server::start(config(&dir)).expect("server resumes");
-    let stats = wait_for_stats(&revived, |s| s.starts_with("STATS "));
+    let stats = stats(&revived);
     assert_eq!(
-        stats_field(&stats, "recovered_batches"),
-        "0",
+        stats.num("recovered_batches"),
+        0,
         "the checkpoint covered the whole WAL — nothing to replay: {stats}"
     );
     let mut client = Client::connect(&revived);
@@ -346,12 +191,11 @@ fn clean_shutdown_checkpoints_atomically_and_ignores_torn_tmp() {
 
     client.send("SHUTDOWN");
     revived.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn retention_spills_to_segments_and_serves_history_from_disk() {
-    let dir = tempdir("spill");
+    let dir = TempDir::new("durability-spill");
     let mut config = config(&dir);
     config.retain_units = Some(2);
     let server = Server::start(config).expect("server starts");
@@ -359,7 +203,7 @@ fn retention_spills_to_segments_and_serves_history_from_disk() {
     // The burst sits at unit 6 of 12 so its events age well past the
     // two-unit RAM budget and must be answered from segments.
     let records = workload(12, 6, 6, &[0, 3]);
-    let expected = offline_event_frames(&records);
+    let expected = offline_events(served(), &records);
     let evicted_expected: Vec<&String> =
         expected.iter().filter(|f| f.contains("unit=6 ")).collect();
     assert!(!evicted_expected.is_empty(), "the burst unit produces anomalies: {expected:?}");
@@ -367,14 +211,9 @@ fn retention_spills_to_segments_and_serves_history_from_disk() {
     // All 12 workload units close (the sentinel sits in unit 12); with
     // a 2-unit budget, everything older has been evicted from RAM.
     feed(&server, &records);
-    let stats = wait_for_stats(&server, |s| {
-        s.contains("last_closed=11 ")
-            && stats_field(s, "events_evicted").parse::<u64>().unwrap_or(0) > 0
-    });
-    assert!(
-        stats_field(&stats, "segments").parse::<u64>().expect("number") >= 1,
-        "evicted events reached a segment file: {stats}"
-    );
+    let stats =
+        wait_until(&server, |s| s.field("last_closed") == "11" && s.num("events_evicted") > 0);
+    assert!(stats.num("segments") >= 1, "evicted events reached a segment file: {stats}");
 
     // QUERY spans both tiers: the full offline stream answers, with
     // the evicted burst served from disk.
@@ -402,5 +241,4 @@ fn retention_spills_to_segments_and_serves_history_from_disk() {
 
     client.send("SHUTDOWN");
     server.join().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&dir);
 }

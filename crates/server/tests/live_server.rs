@@ -2,128 +2,26 @@
 //! real sockets, live-vs-replay equivalence of the anomaly stream,
 //! protocol robustness, and the checkpoint-on-shutdown lifecycle.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use tiresias_core::{TiresiasBuilder, CHECKPOINT_VERSION};
-use tiresias_server::protocol::format_event;
+use tiresias_core::CHECKPOINT_VERSION;
 use tiresias_server::{Server, ServerConfig};
-
-const TIMEUNIT: u64 = 60;
-
-fn builder() -> TiresiasBuilder {
-    TiresiasBuilder::new()
-        .timeunit_secs(TIMEUNIT)
-        .window_len(16)
-        .threshold(5.0)
-        .season_length(4)
-        .sensitivity(2.0, 5.0)
-        .warmup_units(4)
-        .shards(2)
-}
+use tiresias_testkit::{offline_events, served, workload, Client, TempDir, TIMEUNIT};
 
 fn config() -> ServerConfig {
-    let mut config = ServerConfig::new(builder());
+    let mut config = ServerConfig::new(served());
     config.grace = Duration::from_millis(600);
     config.tick = Duration::from_millis(20);
     config
 }
 
-/// `(path, timestamp)` records for `units` timeunits of steady traffic
-/// over several top-level categories, with bursts injected at
-/// `burst_unit` on two of them.
-fn workload(units: u64, burst_unit: u64) -> Vec<(String, u64)> {
-    let mut records = Vec::new();
-    for u in 0..units {
-        for k in 0..6u64 {
-            let count = if u == burst_unit && (k == 0 || k == 3) { 80 } else { 8 };
-            for i in 0..count {
-                records.push((format!("cat{k}/leaf"), u * TIMEUNIT + (i % TIMEUNIT)));
-            }
-        }
-    }
-    records
-}
-
-/// The offline ground truth: replay the same records through a fresh
-/// sharded engine (batch boundaries don't matter; the records are
-/// already unit-ordered) and return the anomaly stream as `EVENT`
-/// frames.
-fn offline_event_frames(records: &[(String, u64)]) -> Vec<String> {
-    let mut engine = builder().build_sharded().expect("valid test config");
-    engine.push_batch(records).expect("replay ingests");
-    let mut frames: Vec<String> = engine.anomalies().iter().map(format_event).collect();
-    frames.sort();
-    frames
-}
-
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(server: &Server) -> Client {
-        let stream = TcpStream::connect(server.local_addr()).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
-        let reader = BufReader::new(stream.try_clone().expect("clones"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("writes");
-        self.stream.write_all(b"\n").expect("writes");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("reads a reply line");
-        line.trim_end().to_string()
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-}
-
-/// Reads `EVENT` frames from a subscribed client until `expected`
-/// frames arrived or the deadline passes.
-fn collect_events(subscriber: &mut Client, expected: usize, deadline: Duration) -> Vec<String> {
-    let start = Instant::now();
-    let mut frames = Vec::new();
-    while frames.len() < expected && start.elapsed() < deadline {
-        let mut line = String::new();
-        match subscriber.reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let line = line.trim_end();
-                if line.starts_with("EVENT ") {
-                    frames.push(line.to_string());
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => panic!("subscriber read failed: {e}"),
-        }
-    }
-    frames
-}
-
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("tiresias-test-{}-{name}", std::process::id()))
-}
-
 #[test]
 fn live_stream_matches_offline_replay() {
     let server = Server::start(config()).expect("server starts");
-    let records = workload(10, 8);
-    let expected = offline_event_frames(&records);
+    let records = workload(10, 6, 8, &[0, 3], 80);
+    // Sorted: live frames arrive in close order, not store order.
+    let mut expected = offline_events(served(), &records);
+    expected.sort();
     assert!(!expected.is_empty(), "the workload produces anomalies");
 
     let mut subscriber = Client::connect(&server);
@@ -142,7 +40,7 @@ fn live_stream_matches_offline_replay() {
                 for (path, t) in records.iter().skip(c).step_by(3) {
                     payload.push_str(&format!("PUSH {path} {t}\n"));
                 }
-                client.stream.write_all(payload.as_bytes()).expect("bulk push");
+                client.send_bytes(payload.as_bytes());
                 // Graceful close: QUIT flushes the session before EOF.
                 assert_eq!(client.roundtrip("QUIT"), "BYE");
             });
@@ -150,16 +48,15 @@ fn live_stream_matches_offline_replay() {
     });
 
     // The grace window expires, units close, events stream out live.
-    let mut got = collect_events(&mut subscriber, expected.len(), Duration::from_secs(30));
+    let mut got = subscriber.collect_events(expected.len(), Duration::from_secs(30));
     got.sort();
     assert_eq!(got, expected, "live anomaly stream equals the offline replay");
 
     let mut control = Client::connect(&server);
-    let stats = control.roundtrip("STATS");
-    assert!(stats.starts_with("STATS "), "{stats}");
-    assert!(stats.contains(&format!("records={}", records.len())), "{stats}");
-    assert!(stats.contains("late=0"), "{stats}");
-    assert!(stats.contains("subscribers=1"), "{stats}");
+    let stats = control.stats();
+    assert_eq!(stats.num("records"), records.len() as u64, "{stats}");
+    assert_eq!(stats.num("late"), 0, "{stats}");
+    assert_eq!(stats.num("subscribers"), 1, "{stats}");
     assert_eq!(control.roundtrip("SHUTDOWN"), "OK shutting down");
     server.join().expect("clean shutdown");
 }
@@ -183,23 +80,23 @@ fn malformed_lines_get_err_and_never_wedge_the_session() {
     // The same session still works afterwards…
     assert_eq!(client.roundtrip("PING"), "PONG");
     assert_eq!(client.roundtrip("PUSH cat/leaf 30"), "OK");
-    let stats = client.roundtrip("STATS");
-    assert!(stats.contains("records=2"), "{stats}");
-    assert!(stats.contains("ahead=1"), "{stats}");
+    let stats = client.stats();
+    assert_eq!(stats.num("records"), 2, "{stats}");
+    assert_eq!(stats.num("ahead"), 1, "{stats}");
 
     // …and so does a second, concurrent session (the shard rings never
     // saw the malformed lines).
     let mut other = Client::connect(&server);
     assert_eq!(other.roundtrip("PUSH cat/other 40"), "OK");
-    let stats = other.roundtrip("STATS");
-    assert!(stats.contains("records=3"), "{stats}");
+    let stats = other.stats();
+    assert_eq!(stats.num("records"), 3, "{stats}");
 
     // Subscribing twice re-registers (reviving a lag-dropped stream)
     // rather than stacking duplicate subscriptions.
     assert!(other.roundtrip("SUBSCRIBE").starts_with("OK subscribed from="));
     assert!(other.roundtrip("SUBSCRIBE").starts_with("OK subscribed from="));
-    let stats = other.roundtrip("STATS");
-    assert!(stats.contains("subscribers=1"), "{stats}");
+    let stats = other.stats();
+    assert_eq!(stats.num("subscribers"), 1, "{stats}");
 
     other.send("SHUTDOWN");
     server.join().expect("clean shutdown");
@@ -234,9 +131,9 @@ fn late_records_get_late_replies_and_are_counted() {
     std::thread::sleep(Duration::from_millis(400));
     // Units 0 and 1 are closed now: a unit-0 straggler is late.
     assert_eq!(client.roundtrip("PUSH cat/leaf 20"), "LATE");
-    let stats = client.roundtrip("STATS");
-    assert!(stats.contains("late=1"), "{stats}");
-    assert!(stats.contains("open_unit=2"), "{stats}");
+    let stats = client.stats();
+    assert_eq!(stats.num("late"), 1, "{stats}");
+    assert_eq!(stats.num("open_unit"), 2, "{stats}");
 
     client.send("SHUTDOWN");
     server.join().expect("clean shutdown");
@@ -244,10 +141,13 @@ fn late_records_get_late_replies_and_are_counted() {
 
 #[test]
 fn shutdown_checkpoint_resumes_mid_unit() {
-    let ckpt = temp_path("resume.ckpt");
-    let _ = std::fs::remove_file(&ckpt);
+    let dir = TempDir::new("live-resume");
+    let ckpt = dir.join("resume.ckpt");
 
-    let records = workload(10, 8);
+    let records = workload(10, 6, 8, &[0, 3], 80);
+    // Sorted: live frames arrive in close order, not store order.
+    let mut expected = offline_events(served(), &records);
+    expected.sort();
     // Split mid-unit-6: phase one gets everything before unit 6 plus
     // half of unit 6's records, phase two the rest.
     let unit6_start = records.iter().position(|&(_, t)| t / TIMEUNIT == 6).unwrap();
@@ -268,7 +168,7 @@ fn shutdown_checkpoint_resumes_mid_unit() {
         assert_eq!(client.roundtrip("PING"), "PONG"); // fence: all pushes ingested
         client.send("SHUTDOWN");
         server.join().expect("clean shutdown");
-        collect_events(&mut subscriber, usize::MAX, Duration::from_millis(300))
+        subscriber.collect_events(usize::MAX, Duration::from_millis(300))
     };
 
     let json = std::fs::read_to_string(&ckpt).expect("checkpoint written on shutdown");
@@ -289,8 +189,7 @@ fn shutdown_checkpoint_resumes_mid_unit() {
         assert_eq!(client.roundtrip("PING"), "PONG");
         // Let the watermark close through the burst unit so the events
         // stream live, before shutdown.
-        let expected = offline_event_frames(&records);
-        let got = collect_events(&mut subscriber, expected.len(), Duration::from_secs(30));
+        let got = subscriber.collect_events(expected.len(), Duration::from_secs(30));
         client.send("SHUTDOWN");
         server.join().expect("clean shutdown");
         got
@@ -300,8 +199,5 @@ fn shutdown_checkpoint_resumes_mid_unit() {
     all.append(&mut phase_one_events);
     all.append(&mut phase_two_events);
     all.sort();
-    let expected = offline_event_frames(&records);
     assert_eq!(all, expected, "events across restart equal one uninterrupted offline replay");
-
-    let _ = std::fs::remove_file(&ckpt);
 }

@@ -3,50 +3,19 @@
 //! NDJSON log, and the router's per-node metrics — all over real
 //! sockets against running daemons.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use serde::Value;
-use tiresias_core::TiresiasBuilder;
 use tiresias_server::{Router, RouterConfig, Server, ServerConfig};
-
-const TIMEUNIT: u64 = 60;
+use tiresias_testkit::{served, wait_until, Client, TempDir, TIMEUNIT};
 
 fn config() -> ServerConfig {
-    let builder = TiresiasBuilder::new()
-        .timeunit_secs(TIMEUNIT)
-        .window_len(16)
-        .threshold(5.0)
-        .season_length(4)
-        .sensitivity(2.0, 5.0)
-        .warmup_units(4)
-        .shards(2);
-    let mut config = ServerConfig::new(builder);
+    let mut config = ServerConfig::new(served());
     config.grace = Duration::from_millis(300);
     config.tick = Duration::from_millis(20);
     config
-}
-
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
-        let reader = BufReader::new(stream.try_clone().expect("clones"));
-        Client { stream, reader }
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        self.stream.write_all(format!("{line}\n").as_bytes()).expect("writes");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("reads");
-        reply.trim_end().to_string()
-    }
 }
 
 /// One plain-HTTP scrape of a `/metrics` listener.
@@ -74,8 +43,7 @@ fn counter_value(stats: &Value, name: &str) -> Option<f64> {
 
 #[test]
 fn metrics_endpoint_and_stats_json_track_a_serve_workload() {
-    let dir = std::env::temp_dir().join(format!("tiresias-obs-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = TempDir::new("obs");
     let slow_path = dir.join("slow.ndjson");
     let mut config = config();
     config.metrics_addr = Some("127.0.0.1:0".to_string());
@@ -153,7 +121,6 @@ fn metrics_endpoint_and_stats_json_track_a_serve_workload() {
 
     server.shutdown();
     server.join().expect("clean shutdown");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -230,15 +197,7 @@ fn router_exports_per_node_metrics_and_stats_json() {
     let metrics_addr = router.metrics_addr().expect("exporter configured");
 
     // Wait until the supervisor adopts the node.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let mut client = Client::connect(router.local_addr());
-        if client.roundtrip("STATS").contains(":up") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "node never came up");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_until(&router, |s| s.field("node_state") == format!("{node_addr}:up"));
 
     let body = scrape(metrics_addr);
     let state_line = format!("tiresias_node_state{{node=\"{node_addr}\"}} 2\n");

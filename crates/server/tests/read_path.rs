@@ -4,173 +4,26 @@
 //! must evict; and a lag-dropped subscriber must be able to recover
 //! precisely what it missed.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use tiresias_core::TiresiasBuilder;
 use tiresias_server::protocol::format_event;
 use tiresias_server::{Server, ServerConfig};
-
-const TIMEUNIT: u64 = 60;
-
-fn builder() -> TiresiasBuilder {
-    TiresiasBuilder::new()
-        .timeunit_secs(TIMEUNIT)
-        .window_len(16)
-        .threshold(5.0)
-        .season_length(4)
-        .sensitivity(2.0, 5.0)
-        .warmup_units(4)
-        .shards(2)
-}
+use tiresias_testkit::{
+    offline_engine, offline_events, served, wait_until, workload, Client, TIMEUNIT,
+};
 
 fn config() -> ServerConfig {
-    let mut config = ServerConfig::new(builder());
+    let mut config = ServerConfig::new(served());
     config.grace = Duration::from_millis(400);
     config.tick = Duration::from_millis(20);
     config
 }
 
-/// Steady traffic over `categories` top-level labels for `units`
-/// timeunits; every category in `burst_cats` bursts at `burst_unit`.
-fn workload(
-    units: u64,
-    categories: u64,
-    burst_unit: u64,
-    burst_cats: &[u64],
-) -> Vec<(String, u64)> {
-    let mut records = Vec::new();
-    for u in 0..units {
-        for k in 0..categories {
-            let count = if u == burst_unit && burst_cats.contains(&k) { 80 } else { 8 };
-            for i in 0..count {
-                records.push((format!("cat{k}/leaf"), u * TIMEUNIT + (i % TIMEUNIT)));
-            }
-        }
-    }
-    records
-}
-
-/// The offline ground truth: the same records through a fresh sharded
-/// engine. Returns the anomaly stream as `EVENT` frames in store
-/// (`(unit, path)`) order.
-fn offline_event_frames(records: &[(String, u64)]) -> Vec<String> {
-    let mut engine = builder().build_sharded().expect("valid test config");
-    engine.push_batch(records).expect("replay ingests");
-    engine.anomalies().iter().map(format_event).collect()
-}
-
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(server: &Server) -> Client {
-        let stream = TcpStream::connect(server.local_addr()).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
-        let reader = BufReader::new(stream.try_clone().expect("clones"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("writes");
-        self.stream.write_all(b"\n").expect("writes");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("reads a reply line");
-        line.trim_end().to_string()
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-
-    /// Reads reply lines until the `STATS` line (skipping interleaved
-    /// `EVENT` frames on subscribed sessions).
-    fn stats(&mut self) -> String {
-        self.send("STATS");
-        loop {
-            let line = self.recv();
-            if line.starts_with("STATS ") || line.starts_with("ERR ") {
-                return line;
-            }
-        }
-    }
-
-    /// Issues a `QUERY` and returns (event frames, `OK n=` count).
-    fn query(&mut self, request: &str) -> (Vec<String>, usize) {
-        self.send(request);
-        let mut frames = Vec::new();
-        loop {
-            let line = self.recv();
-            if let Some(n) = line.strip_prefix("OK n=") {
-                return (frames, n.parse().expect("count parses"));
-            }
-            assert!(line.starts_with("EVENT "), "unexpected QUERY reply: {line}");
-            frames.push(line);
-        }
-    }
-
-    /// Reads `EVENT` frames until `expected` arrived or the deadline
-    /// passes.
-    fn collect_events(&mut self, expected: usize, deadline: Duration) -> Vec<String> {
-        let start = Instant::now();
-        let mut frames = Vec::new();
-        while frames.len() < expected && start.elapsed() < deadline {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => break,
-                Ok(_) => {
-                    let line = line.trim_end();
-                    if line.starts_with("EVENT ") {
-                        frames.push(line.to_string());
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) => panic!("subscriber read failed: {e}"),
-            }
-        }
-        frames
-    }
-}
-
-/// Polls `STATS` until `predicate` matches (30 s deadline).
-fn wait_for_stats(server: &Server, predicate: impl Fn(&str) -> bool) -> String {
-    let mut client = Client::connect(server);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = client.stats();
-        if predicate(&stats) {
-            client.send("QUIT");
-            return stats;
-        }
-        assert!(Instant::now() < deadline, "STATS never converged: {stats}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-fn stats_field(stats: &str, key: &str) -> String {
-    stats
-        .split_whitespace()
-        .find_map(|pair| pair.strip_prefix(&format!("{key}=")))
-        .unwrap_or_else(|| panic!("{key} missing from {stats}"))
-        .to_string()
-}
-
 #[test]
 fn query_and_subscribe_from_catch_up_equal_offline_replay() {
     let server = Server::start(config()).expect("server starts");
-    let records = workload(10, 6, 8, &[0, 3]);
-    let expected = offline_event_frames(&records);
+    let records = workload(10, 6, 8, &[0, 3], 80);
+    let expected = offline_events(served(), &records);
     assert!(expected.len() >= 2, "the workload produces anomalies: {expected:?}");
 
     // Three concurrent clients, records dealt round-robin so every
@@ -186,21 +39,19 @@ fn query_and_subscribe_from_catch_up_equal_offline_replay() {
                 for (path, t) in records.iter().skip(c).step_by(3) {
                     payload.push_str(&format!("PUSH {path} {t}\n"));
                 }
-                client.stream.write_all(payload.as_bytes()).expect("bulk push");
+                client.send_bytes(payload.as_bytes());
                 assert_eq!(client.roundtrip("QUIT"), "BYE");
             });
         }
     });
 
     // The grace window expires, units close, events land in the store.
-    let needle = format!("events={}", expected.len());
-    wait_for_stats(&server, |s| s.contains(&needle));
+    wait_until(&server, |s| s.num("events") == expected.len() as u64);
 
     // QUERY returns the offline replay exactly — same units, paths and
     // counters, in the same `(unit, path)` order.
     let mut client = Client::connect(&server);
-    let (frames, n) = client.query("QUERY 0 9999");
-    assert_eq!(n, frames.len());
+    let (frames, _) = client.query("QUERY 0 9999");
     assert_eq!(frames, expected, "QUERY equals the offline replay exactly");
 
     // Narrowing clauses agree with the offline stream too.
@@ -212,8 +63,8 @@ fn query_and_subscribe_from_catch_up_equal_offline_replay() {
     let offline_level2: Vec<String> =
         expected.iter().filter(|f| f.contains("level=2")).cloned().collect();
     assert_eq!(level2, offline_level2, "LEVEL filters exactly");
-    let (limited, n_limited) = client.query("QUERY 0 9999 LIMIT 2");
-    assert_eq!((limited.len(), n_limited), (2, 2), "LIMIT bounds the batch");
+    let (limited, ok) = client.query("QUERY 0 9999 LIMIT 2");
+    assert_eq!((limited.len(), ok.as_str()), (2, "OK n=2"), "LIMIT bounds the batch");
     assert_eq!(limited[..], expected[..2]);
     let (ranged, _) = client.query("QUERY 8 8");
     let offline_unit8: Vec<String> =
@@ -238,9 +89,9 @@ fn retention_budget_evicts_oldest_units() {
     let server = Server::start(config).expect("server starts");
 
     // Bursts in two separate units: cat0 at unit 6, cat1 at unit 9.
-    let mut records = workload(8, 4, 6, &[0]);
-    records.extend(workload(12, 4, 9, &[1]).into_iter().filter(|&(_, t)| t / TIMEUNIT >= 8));
-    let offline = offline_event_frames(&records);
+    let mut records = workload(8, 4, 6, &[0], 80);
+    records.extend(workload(12, 4, 9, &[1], 80).into_iter().filter(|&(_, t)| t / TIMEUNIT >= 8));
+    let offline = offline_events(served(), &records);
     let unit6: Vec<&String> = offline.iter().filter(|f| f.contains("unit=6 ")).collect();
     let unit9: Vec<String> = offline.iter().filter(|f| f.contains("unit=9 ")).cloned().collect();
     assert!(!unit6.is_empty() && !unit9.is_empty(), "bursts in both units: {offline:?}");
@@ -254,14 +105,13 @@ fn retention_budget_evicts_oldest_units() {
     // A unit-11 record drives the data watermark so units 0..=10 close
     // deterministically once the grace window expires.
     payload.push_str(&format!("PUSH cat0/leaf {}\n", 11 * TIMEUNIT));
-    feeder.stream.write_all(payload.as_bytes()).expect("bulk push");
+    feeder.send_bytes(payload.as_bytes());
     assert_eq!(feeder.roundtrip("PING"), "PONG");
 
-    let stats = wait_for_stats(&server, |s| s.contains("last_closed=10"));
+    let stats = wait_until(&server, |s| s.field("last_closed") == "10");
     // retain=2 over last_closed=10 keeps units 9..=10 only.
-    assert_eq!(stats_field(&stats, "retain"), "2");
-    let evicted: u64 = stats_field(&stats, "events_evicted").parse().expect("number");
-    assert!(evicted >= unit6.len() as u64, "unit-6 events evicted: {stats}");
+    assert_eq!(stats.field("retain"), "2");
+    assert!(stats.num("events_evicted") >= unit6.len() as u64, "unit-6 events evicted: {stats}");
 
     let mut client = Client::connect(&server);
     let (frames, _) = client.query("QUERY 0 9999");
@@ -288,8 +138,8 @@ fn stalled_subscriber_is_dropped_counted_and_recovers_missed_events() {
     // Every category bursts at unit 8: one broadcast of 16 frames,
     // enqueued back to back far faster than the stalled session's
     // writer drains them.
-    let records = workload(10, 16, 8, &(0..16).collect::<Vec<u64>>());
-    let expected = offline_event_frames(&records);
+    let records = workload(10, 16, 8, &(0..16).collect::<Vec<u64>>(), 80);
+    let expected = offline_events(served(), &records);
     assert!(expected.len() >= 12, "a broad burst: {expected:?}");
 
     let mut subscriber = Client::connect(&server);
@@ -303,20 +153,20 @@ fn stalled_subscriber_is_dropped_counted_and_recovers_missed_events() {
     for (path, t) in &records {
         payload.push_str(&format!("PUSH {path} {t}\n"));
     }
-    feeder.stream.write_all(payload.as_bytes()).expect("bulk push");
+    feeder.send_bytes(payload.as_bytes());
     assert_eq!(feeder.roundtrip("PING"), "PONG");
 
     // The hub drops the laggard and counts it.
-    let stats = wait_for_stats(&server, |s| {
-        s.contains("dropped_slow=1") && s.contains(&format!("events={}", expected.len()))
+    let stats = wait_until(&server, |s| {
+        s.num("dropped_slow") == 1 && s.num("events") == expected.len() as u64
     });
-    assert_eq!(stats_field(&stats, "subscribers"), "0", "the laggard left the hub: {stats}");
+    assert_eq!(stats.num("subscribers"), 0, "the laggard left the hub: {stats}");
 
     // The stalled subscriber wakes up, drains what it did receive and
     // learns from its own STATS how many frames its subscription lost.
     let received = subscriber.collect_events(usize::MAX, Duration::from_millis(500));
     assert!(received.len() < expected.len(), "the stall lost events");
-    let dropped: u64 = stats_field(&subscriber.stats(), "dropped_events").parse().expect("number");
+    let dropped = subscriber.stats().num("dropped_events");
     assert!(dropped >= 1, "the session knows it lost events");
 
     // Recovery: SUBSCRIBE FROM its last seen unit replays the exact
@@ -331,11 +181,12 @@ fn stalled_subscriber_is_dropped_counted_and_recovers_missed_events() {
         .unwrap_or(0u64);
     let reply = subscriber.roundtrip(&format!("SUBSCRIBE FROM {last_seen}"));
     assert_eq!(reply, format!("OK subscribed from={last_seen}"));
-    let expected_replay: Vec<String> = {
-        let mut engine = builder().build_sharded().expect("valid test config");
-        engine.push_batch(&records).expect("replay ingests");
-        engine.anomalies().iter().filter(|e| e.unit >= last_seen).map(format_event).collect()
-    };
+    let expected_replay: Vec<String> = offline_engine(served(), &records)
+        .anomalies()
+        .iter()
+        .filter(|e| e.unit >= last_seen)
+        .map(format_event)
+        .collect();
     let replayed = subscriber.collect_events(expected_replay.len(), Duration::from_secs(10));
     assert_eq!(replayed, expected_replay, "the catch-up replays the exact missed events");
     // Union check: everything the offline replay produced was seen.
@@ -358,7 +209,7 @@ fn stalled_subscriber_is_dropped_counted_and_recovers_missed_events() {
         }
     }
     tail.push_str(&format!("PUSH cat1/leaf {}\n", 11 * TIMEUNIT));
-    feeder.stream.write_all(tail.as_bytes()).expect("tail push");
+    feeder.send_bytes(tail.as_bytes());
     assert_eq!(feeder.roundtrip("PING"), "PONG");
     let live = subscriber.collect_events(1, Duration::from_secs(15));
     assert!(

@@ -5,30 +5,16 @@
 //! text-versus-v2 admission equivalence including the heavy-hitter
 //! gauge.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::io::Read;
+use std::time::Duration;
 
 use proptest::prelude::*;
-use tiresias_core::TiresiasBuilder;
-use tiresias_server::protocol::{format_event, v2};
+use tiresias_server::protocol::v2;
 use tiresias_server::{Server, ServerConfig};
-
-const TIMEUNIT: u64 = 60;
-
-fn builder() -> TiresiasBuilder {
-    TiresiasBuilder::new()
-        .timeunit_secs(TIMEUNIT)
-        .window_len(16)
-        .threshold(5.0)
-        .season_length(4)
-        .sensitivity(2.0, 5.0)
-        .warmup_units(4)
-        .shards(2)
-}
+use tiresias_testkit::{offline_events, served, wait_until, workload, Client, TIMEUNIT};
 
 fn config() -> ServerConfig {
-    let mut config = ServerConfig::new(builder());
+    let mut config = ServerConfig::new(served());
     config.grace = Duration::from_millis(600);
     config.tick = Duration::from_millis(20);
     config
@@ -159,50 +145,16 @@ proptest! {
     }
 }
 
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
+/// Negotiates the session into binary mode.
+fn upgrade(client: &mut Client) {
+    assert_eq!(client.roundtrip("HELLO v2"), "OK v2");
+    assert_eq!(client.roundtrip("UPGRADE"), "OK upgraded");
 }
 
-impl Client {
-    fn connect(server: &Server) -> Client {
-        let stream = TcpStream::connect(server.local_addr()).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
-        let reader = BufReader::new(stream.try_clone().expect("clones"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("writes");
-        self.stream.write_all(b"\n").expect("writes");
-    }
-
-    fn send_bytes(&mut self, bytes: &[u8]) {
-        self.stream.write_all(bytes).expect("writes frame bytes");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("reads a reply line");
-        line.trim_end().to_string()
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-
-    /// Negotiates the session into binary mode.
-    fn upgrade(&mut self) {
-        assert_eq!(self.roundtrip("HELLO v2"), "OK v2");
-        assert_eq!(self.roundtrip("UPGRADE"), "OK upgraded");
-    }
-
-    /// True once the server closed this session (EOF on the reader).
-    fn closed(&mut self) -> bool {
-        let mut buf = [0u8; 1];
-        matches!(self.reader.read(&mut buf), Ok(0))
-    }
+/// True once the server closed this session (EOF on the reader).
+fn closed(client: &mut Client) -> bool {
+    let mut buf = [0u8; 1];
+    matches!(client.reader.read(&mut buf), Ok(0))
 }
 
 #[test]
@@ -215,7 +167,7 @@ fn negotiation_acks_and_end_round_trip() {
     assert_eq!(client.roundtrip("PING"), "PONG");
     assert!(client.roundtrip("HELLO v3").starts_with("ERR "), "unknown capability refused");
 
-    client.upgrade();
+    upgrade(&mut client);
     let mut enc = v2::FrameEncoder::new();
     let mut frame = Vec::new();
     enc.encode_data(0, &[("tv/no-service", 5u64), ("internet/slow", 9)], &mut frame);
@@ -228,10 +180,10 @@ fn negotiation_acks_and_end_round_trip() {
 
     // While the session is in binary mode the proto gauges say so.
     let mut control = Client::connect(&server);
-    let stats = control.roundtrip("STATS");
-    assert!(stats.contains("proto_v2=1"), "{stats}");
-    assert!(stats.contains("v2_frames=2"), "{stats}");
-    assert!(stats.contains("v2_dict_entries=2"), "{stats}");
+    let stats = control.stats();
+    assert_eq!(stats.num("proto_v2"), 1, "{stats}");
+    assert_eq!(stats.num("v2_frames"), 2, "{stats}");
+    assert_eq!(stats.num("v2_dict_entries"), 2, "{stats}");
 
     // An absurdly-ahead timestamp is dropped and reported in the
     // frame ack — it never poisons the session, and the dictionaries
@@ -254,8 +206,8 @@ fn negotiation_acks_and_end_round_trip() {
     client.send_bytes(&frame);
     assert_eq!(client.recv(), "OK frame=3 n=2 late=0 ahead=0");
 
-    let stats = control.roundtrip("STATS");
-    assert!(stats.contains("records=4"), "{stats}");
+    let stats = control.stats();
+    assert_eq!(stats.num("records"), 4, "{stats}");
     assert_eq!(control.roundtrip("SHUTDOWN"), "OK shutting down");
     server.join().expect("clean shutdown");
 }
@@ -306,76 +258,20 @@ fn corrupt_frames_answer_err_close_the_session_and_spare_the_daemon() {
         ("ping with payload", &ping_payload),
     ] {
         let mut client = Client::connect(&server);
-        client.upgrade();
+        upgrade(&mut client);
         client.send_bytes(frame);
         let reply = client.recv();
         assert!(reply.starts_with("ERR "), "{what}: {reply}");
-        assert!(client.closed(), "{what}: session must close after a corrupt frame");
+        assert!(closed(&mut client), "{what}: session must close after a corrupt frame");
     }
 
     // The daemon survived all of it.
     let mut survivor = Client::connect(&server);
     assert_eq!(survivor.roundtrip("PUSH tv/no-service 3"), "OK");
-    let stats = survivor.roundtrip("STATS");
-    assert!(stats.contains("records=1"), "only the survivor's record admitted: {stats}");
+    let stats = survivor.stats();
+    assert_eq!(stats.num("records"), 1, "only the survivor's record admitted: {stats}");
     assert_eq!(survivor.roundtrip("SHUTDOWN"), "OK shutting down");
     server.join().expect("clean shutdown");
-}
-
-/// `(path, timestamp)` records over several top-level categories with
-/// bursts at `burst_unit` on two of them (the live_server workload).
-fn workload(units: u64, burst_unit: u64) -> Vec<(String, u64)> {
-    let mut records = Vec::new();
-    for u in 0..units {
-        for k in 0..6u64 {
-            let count = if u == burst_unit && (k == 0 || k == 3) { 80 } else { 8 };
-            for i in 0..count {
-                records.push((format!("cat{k}/leaf"), u * TIMEUNIT + (i % TIMEUNIT)));
-            }
-        }
-    }
-    records
-}
-
-fn offline_event_frames(records: &[(String, u64)]) -> Vec<String> {
-    let mut engine = builder().build_sharded().expect("valid test config");
-    engine.push_batch(records).expect("replay ingests");
-    let mut frames: Vec<String> = engine.anomalies().iter().map(format_event).collect();
-    frames.sort();
-    frames
-}
-
-fn collect_events(subscriber: &mut Client, expected: usize, deadline: Duration) -> Vec<String> {
-    let start = Instant::now();
-    let mut frames = Vec::new();
-    while frames.len() < expected && start.elapsed() < deadline {
-        let mut line = String::new();
-        match subscriber.reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let line = line.trim_end();
-                if line.starts_with("EVENT ") {
-                    frames.push(line.to_string());
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => panic!("subscriber read failed: {e}"),
-        }
-    }
-    frames
-}
-
-/// Pulls the `top_paths=` field out of a `STATS` line.
-fn top_paths(stats: &str) -> String {
-    stats
-        .split_whitespace()
-        .find_map(|f| f.strip_prefix("top_paths="))
-        .unwrap_or_else(|| panic!("top_paths= missing from {stats}"))
-        .to_string()
 }
 
 /// The same workload admitted over text on one daemon and over v2
@@ -384,8 +280,10 @@ fn top_paths(stats: &str) -> String {
 /// heavy-hitter gauges.
 #[test]
 fn text_and_v2_admission_are_equivalent_and_coexist() {
-    let records = workload(10, 8);
-    let expected = offline_event_frames(&records);
+    let records = workload(10, 6, 8, &[0, 3], 80);
+    // Sorted: live frames arrive in close order, not store order.
+    let mut expected = offline_events(served(), &records);
+    expected.sort();
     assert!(!expected.is_empty(), "the workload produces anomalies");
 
     // Daemon A: everything over text.
@@ -414,7 +312,7 @@ fn text_and_v2_admission_are_equivalent_and_coexist() {
         scope.spawn(move || {
             let mut client = Client::connect(server);
             assert_eq!(client.roundtrip("NOACK"), "OK");
-            client.upgrade();
+            upgrade(&mut client);
             let mut enc = v2::FrameEncoder::new();
             let even: Vec<(String, u64)> = recs.iter().step_by(2).cloned().collect();
             for (seq, batch) in even.chunks(97).enumerate() {
@@ -439,8 +337,8 @@ fn text_and_v2_admission_are_equivalent_and_coexist() {
     });
 
     let deadline = Duration::from_secs(30);
-    let mut got_a = collect_events(&mut sub_a, expected.len(), deadline);
-    let mut got_b = collect_events(&mut sub_b, expected.len(), deadline);
+    let mut got_a = sub_a.collect_events(expected.len(), deadline);
+    let mut got_b = sub_b.collect_events(expected.len(), deadline);
     got_a.sort();
     got_b.sort();
     assert_eq!(got_a, expected, "text admission equals the offline replay");
@@ -448,15 +346,15 @@ fn text_and_v2_admission_are_equivalent_and_coexist() {
 
     let mut control_a = Client::connect(&server_a);
     let mut control_b = Client::connect(&server_b);
-    let stats_a = control_a.roundtrip("STATS");
-    let stats_b = control_b.roundtrip("STATS");
+    let stats_a = control_a.stats();
+    let stats_b = control_b.stats();
     for stats in [&stats_a, &stats_b] {
-        assert!(stats.contains(&format!("records={}", records.len())), "{stats}");
-        assert!(stats.contains("late=0"), "{stats}");
+        assert_eq!(stats.num("records"), records.len() as u64, "{stats}");
+        assert_eq!(stats.num("late"), 0, "{stats}");
     }
     assert_eq!(
-        top_paths(&stats_a),
-        top_paths(&stats_b),
+        stats_a.field("top_paths"),
+        stats_b.field("top_paths"),
         "the heavy-hitter gauge is protocol-independent"
     );
 
@@ -474,7 +372,7 @@ fn noack_v2_reports_dropped_records_unsolicited() {
     let server = Server::start(config()).expect("server starts");
     let mut client = Client::connect(&server);
     assert_eq!(client.roundtrip("NOACK"), "OK");
-    client.upgrade();
+    upgrade(&mut client);
 
     let mut enc = v2::FrameEncoder::new();
     let mut frame = Vec::new();
@@ -488,16 +386,7 @@ fn noack_v2_reports_dropped_records_unsolicited() {
     assert_eq!(client.recv(), "PONG frame=1");
 
     // Wait for the grace window so early units are closed.
-    let mut control = Client::connect(&server);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let stats = control.roundtrip("STATS");
-        if stats.contains("last_closed=6") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "units never closed: {stats}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_until(&server, |s| s.field("last_closed") == "6");
 
     // A frame landing in a closed unit is dropped as late — and the
     // drop is reported even though the session never asked for acks.
@@ -506,6 +395,6 @@ fn noack_v2_reports_dropped_records_unsolicited() {
     client.send_bytes(&frame);
     assert_eq!(client.recv(), "OK frame=2 n=0 late=1 ahead=0");
 
-    assert_eq!(control.roundtrip("SHUTDOWN"), "OK shutting down");
+    assert_eq!(Client::connect(&server).roundtrip("SHUTDOWN"), "OK shutting down");
     server.join().expect("clean shutdown");
 }

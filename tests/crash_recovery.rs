@@ -9,242 +9,45 @@
 //! subcommand's reconnect backoff must exit 1 naming the address once
 //! its retries are spent.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use tiresias::core::{read_wal, FaultFs, TiresiasBuilder, WalEntry};
-use tiresias::server::protocol::format_event;
+use tiresias::core::{read_wal, FaultFs, WalEntry};
+use tiresias_testkit::{
+    offline_events, served, stats, wait_until, with_sentinels, workload, Client, Daemon, TempDir,
+    SERVED_FLAGS, TIMEUNIT,
+};
 
-const TIMEUNIT: u64 = 60;
+const BIN: &str = env!("CARGO_BIN_EXE_tiresias");
 
-/// The detector flags every spawned daemon and every offline replay
-/// share — equivalence is only meaningful on identical configuration.
-const DETECTOR_FLAGS: &[&str] = &[
-    "--timeunit",
-    "60",
-    "--window",
-    "16",
-    "--theta",
-    "5",
-    "--season",
-    "4",
-    "--rt",
-    "2",
-    "--dt",
-    "5",
-    "--warmup",
-    "4",
-    "--shards",
-    "2",
-];
-
-fn builder() -> TiresiasBuilder {
-    TiresiasBuilder::new()
-        .timeunit_secs(TIMEUNIT)
-        .window_len(16)
-        .threshold(5.0)
-        .season_length(4)
-        .sensitivity(2.0, 5.0)
-        .warmup_units(4)
-        .shards(2)
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tiresias-crash-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id(),
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir creates");
-    dir
-}
-
-/// A spawned daemon, killed on drop so a failing assertion never
-/// leaks a listener.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    /// Spawns `tiresias serve --data-dir <dir> --wal-sync every` on an
-    /// ephemeral port and waits for its `LISTENING` line.
-    fn spawn(data_dir: &Path) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_tiresias"))
-            .arg("serve")
-            .args(DETECTOR_FLAGS)
-            .args(["--addr", "127.0.0.1:0", "--grace-ms", "400", "--tick-ms", "20"])
-            .args(["--wal-sync", "every"])
-            .arg("--data-dir")
-            .arg(data_dir)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("daemon spawns");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut lines = BufReader::new(stdout).lines();
-        let banner = lines.next().expect("daemon prints LISTENING").expect("stdout reads");
-        let addr = banner
-            .strip_prefix("LISTENING ")
-            .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
-            .to_string();
-        Daemon { child, addr }
-    }
-
-    fn kill9(&mut self) {
-        let _ = self.child.kill(); // SIGKILL on unix
-        let _ = self.child.wait();
-    }
-
-    fn shutdown(mut self) {
-        if let Ok(stream) = TcpStream::connect(&self.addr) {
-            let mut stream = stream;
-            let _ = stream.write_all(b"SHUTDOWN\n");
-        }
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
-        let reader = BufReader::new(stream.try_clone().expect("clones"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("writes");
-        self.stream.write_all(b"\n").expect("writes");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("reads a reply line");
-        line.trim_end().to_string()
-    }
-
-    fn query(&mut self, request: &str) -> Vec<String> {
-        self.send(request);
-        let mut frames = Vec::new();
-        loop {
-            let line = self.recv();
-            if line.starts_with("OK n=") {
-                return frames;
-            }
-            assert!(line.starts_with("EVENT "), "unexpected QUERY reply: {line}");
-            frames.push(line);
-        }
-    }
-
-    fn stats(&mut self) -> String {
-        self.send("STATS");
-        loop {
-            let line = self.recv();
-            if line.starts_with("STATS ") || line.starts_with("ERR ") {
-                return line;
-            }
-        }
-    }
-}
-
-/// Polls `STATS` until the predicate matches (30 s deadline).
-fn wait_for_stats(addr: &str, predicate: impl Fn(&str) -> bool) -> String {
-    let mut client = Client::connect(addr);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = client.stats();
-        if predicate(&stats) {
-            client.send("QUIT");
-            return stats;
-        }
-        assert!(Instant::now() < deadline, "STATS never converged: {stats}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-/// Steady traffic with a burst: 12 units × 4 categories, categories 0
-/// and 2 bursting at unit 6.
-fn workload() -> Vec<(String, u64)> {
-    let mut records = Vec::new();
-    for u in 0..12u64 {
-        for k in 0..4u64 {
-            let count = if u == 6 && (k == 0 || k == 2) { 40 } else { 8 };
-            for i in 0..count {
-                records.push((format!("cat{k}/leaf"), u * TIMEUNIT + (i % TIMEUNIT)));
-            }
-        }
-    }
-    records
-}
-
-/// Pushes records one roundtrip at a time, stopping after `limit`
-/// replies. Returns the records the daemon acknowledged `OK` — the
-/// exact set the WAL guarantees will survive a `kill -9`.
-fn push_acked(addr: &str, records: &[(String, u64)], limit: usize) -> Vec<(String, u64)> {
-    let mut client = Client::connect(addr);
-    let mut acked = Vec::new();
-    for (path, t) in records.iter().take(limit) {
-        client.send(&format!("PUSH {path} {t}"));
-        if client.recv() == "OK" {
-            acked.push((path.clone(), *t));
-        }
-    }
-    acked
-}
-
-/// The offline ground truth: the acked records plus a sentinel one
-/// unit past them, through a fresh sharded engine.
-fn offline_frames_with_sentinel(acked: &[(String, u64)]) -> (Vec<String>, u64) {
-    let last_unit = acked.iter().map(|&(_, t)| t / TIMEUNIT).max().unwrap_or(0);
-    let sentinel = (last_unit + 1) * TIMEUNIT;
-    let mut records = acked.to_vec();
-    records.push(("cat0/leaf".to_string(), sentinel));
-    let mut engine = builder().build_sharded().expect("valid test config");
-    engine.push_batch(&records).expect("replay ingests");
-    (engine.anomalies().iter().map(format_event).collect(), sentinel)
+/// Spawns `tiresias serve --data-dir <dir> --wal-sync every` on an
+/// ephemeral port.
+fn serve(data_dir: &Path) -> Daemon {
+    let dir = data_dir.to_str().expect("utf-8 temp path");
+    let mut args = vec!["serve"];
+    args.extend_from_slice(SERVED_FLAGS);
+    args.extend_from_slice(&["--addr", "127.0.0.1:0", "--grace-ms", "400", "--tick-ms", "20"]);
+    args.extend_from_slice(&["--wal-sync", "every", "--data-dir", dir]);
+    Daemon::spawn(BIN, args)
 }
 
 /// Restarts from `data_dir`, drives the recovered stream closed with
 /// the same sentinel the offline replay used, and returns the full
 /// `QUERY` result.
-fn recover_and_query(data_dir: &Path, sentinel: u64, expect_recovery: bool) -> Vec<String> {
-    let revived = Daemon::spawn(data_dir);
-    if expect_recovery {
-        let stats = wait_for_stats(&revived.addr, |s| s.starts_with("STATS "));
-        let recovered: u64 = stats
-            .split_whitespace()
-            .find_map(|p| p.strip_prefix("recovered_batches="))
-            .expect("recovered_batches present")
-            .parse()
-            .expect("number");
-        assert!(recovered > 0, "the restart replayed WAL batches: {stats}");
-    }
-    let mut client = Client::connect(&revived.addr);
+fn recover_and_query(data_dir: &Path, sentinel: u64) -> Vec<String> {
+    let revived = serve(data_dir);
+    let stats = stats(&revived);
+    assert!(stats.num("recovered_batches") > 0, "the restart replayed WAL batches: {stats}");
+    let mut client = Client::connect(&revived);
     client.send(&format!("PUSH cat0/leaf {sentinel}"));
     let reply = client.recv();
     assert!(reply == "OK" || reply == "LATE", "sentinel admits: {reply}");
-    let closed = format!("last_closed={}", sentinel / TIMEUNIT - 1);
-    wait_for_stats(&revived.addr, |s| s.contains(&closed));
-    let frames = client.query("QUERY 0 9999");
+    let closed = (sentinel / TIMEUNIT - 1).to_string();
+    wait_until(&revived, |s| s.field("last_closed") == closed);
+    let (frames, _) = client.query("QUERY 0 9999");
     client.send("QUIT");
     revived.shutdown();
     frames
@@ -257,17 +60,17 @@ proptest! {
     /// data dir reproduces exactly the anomalies of the acked prefix.
     #[test]
     fn kill9_recovery_equals_offline_replay_of_acked_records(kill_after in 40usize..440) {
-        let dir = tempdir(&format!("kill{kill_after}"));
-        let records = workload();
-        let mut daemon = Daemon::spawn(&dir);
-        let acked = push_acked(&daemon.addr, &records, kill_after);
+        let dir = TempDir::new("crash-kill");
+        let records = workload(12, 4, 6, &[0, 2], 40);
+        let mut daemon = serve(&dir);
+        let acked = Client::connect(&daemon).push_acked(&records[..kill_after]);
         prop_assert!(!acked.is_empty(), "some records were acked");
         daemon.kill9();
 
-        let (expected, sentinel) = offline_frames_with_sentinel(&acked);
-        let frames = recover_and_query(&dir, sentinel, true);
+        let (replayed, sentinel) = with_sentinels(&acked, &["cat0/leaf"]);
+        let frames = recover_and_query(&dir, sentinel);
+        let expected = offline_events(served(), &replayed);
         prop_assert_eq!(frames, expected, "recovered QUERY equals the acked-prefix replay");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -277,10 +80,10 @@ proptest! {
 /// records in the surviving frames.
 #[test]
 fn torn_wal_tail_recovers_the_surviving_prefix() {
-    let dir = tempdir("torn");
-    let records = workload();
-    let mut daemon = Daemon::spawn(&dir);
-    let acked = push_acked(&daemon.addr, &records, 300);
+    let dir = TempDir::new("crash-torn");
+    let records = workload(12, 4, 6, &[0, 2], 40);
+    let mut daemon = serve(&dir);
+    let acked = Client::connect(&daemon).push_acked(&records[..300]);
     assert_eq!(acked.len(), 300, "all pushes acked");
     daemon.kill9();
 
@@ -310,10 +113,10 @@ fn torn_wal_tail_recovers_the_surviving_prefix() {
         .collect();
     assert!(!surviving.is_empty() && surviving.len() < acked.len(), "the tear dropped a tail");
 
-    let (expected, sentinel) = offline_frames_with_sentinel(&surviving);
-    let frames = recover_and_query(&dir, sentinel, true);
+    let (replayed, sentinel) = with_sentinels(&surviving, &["cat0/leaf"]);
+    let frames = recover_and_query(&dir, sentinel);
+    let expected = offline_events(served(), &replayed);
     assert_eq!(frames, expected, "recovery serves exactly the surviving frame prefix");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `tiresias query` retries with backoff and, once its retries are
@@ -321,7 +124,7 @@ fn torn_wal_tail_recovers_the_surviving_prefix() {
 #[test]
 fn query_backoff_exits_one_naming_the_address() {
     let started = Instant::now();
-    let output = Command::new(env!("CARGO_BIN_EXE_tiresias"))
+    let output = Command::new(BIN)
         .args(["query", "127.0.0.1:9", "0", "10", "--retries", "2", "--retry-max-ms", "50"])
         .output()
         .expect("query subcommand runs");

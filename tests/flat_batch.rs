@@ -24,6 +24,7 @@ use proptest::prelude::*;
 use tiresias::core::{
     Admission, IngestHandle, RecordBatch, ShardedTiresias, Tiresias, TiresiasBuilder,
 };
+use tiresias_testkit::offline_engine;
 
 const TIMEUNIT: u64 = 900;
 const MAX_AHEAD: u64 = 4;
@@ -215,9 +216,7 @@ proptest! {
         // Offline: the accepted records in unit order (arrival order
         // within a unit — what each shard saw), static routing.
         accepted.sort_by_key(|&(_, t)| t / TIMEUNIT);
-        let mut offline = builder().shards(SHARDS).build_sharded().expect("valid config");
-        offline.set_threaded(false);
-        offline.push_batch(&accepted).expect("unit order");
+        let mut offline = offline_engine(builder().shards(SHARDS), &accepted);
         let end = finished.current_unit().expect("anchored");
         offline.advance_to(end * TIMEUNIT).expect("aligns");
         assert_same_engine(&finished, &offline, "live vs offline");
@@ -308,9 +307,7 @@ fn scenario_with_moves_stash_and_every_outcome_detects_and_matches() {
     assert!(!finished.anomalies().is_empty(), "the burst is detected");
 
     accepted.sort_by_key(|&(_, t)| t / TIMEUNIT);
-    let mut offline = builder().shards(SHARDS).build_sharded().expect("valid config");
-    offline.set_threaded(false);
-    offline.push_batch(&accepted).expect("unit order");
+    let mut offline = offline_engine(builder().shards(SHARDS), &accepted);
     offline.advance_to(finished.current_unit().expect("anchored") * TIMEUNIT).expect("aligns");
     assert_same_engine(&finished, &offline, "scenario");
 }

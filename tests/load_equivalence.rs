@@ -5,147 +5,19 @@
 //! stream, the same record count, and the same heavy-hitter gauge.
 //! The encoding never changes what the detector sees.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use tiresias::server::protocol::v2;
+use tiresias_testkit::{wait_until, workload, Client, Daemon, TempDir, SERVED_FLAGS};
 
-const TIMEUNIT: u64 = 60;
+const BIN: &str = env!("CARGO_BIN_EXE_tiresias");
 
-const DETECTOR_FLAGS: &[&str] = &[
-    "--timeunit",
-    "60",
-    "--window",
-    "16",
-    "--theta",
-    "5",
-    "--season",
-    "4",
-    "--rt",
-    "2",
-    "--dt",
-    "5",
-    "--warmup",
-    "4",
-    "--shards",
-    "2",
-];
-
-/// A spawned daemon, killed on drop so a failing assertion never
-/// leaks a listener.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn spawn() -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_tiresias"))
-            .arg("serve")
-            .args(DETECTOR_FLAGS)
-            .args(["--addr", "127.0.0.1:0", "--grace-ms", "400", "--tick-ms", "20"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("daemon spawns");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut lines = BufReader::new(stdout).lines();
-        let banner = lines.next().expect("daemon prints LISTENING").expect("stdout reads");
-        let addr = banner
-            .strip_prefix("LISTENING ")
-            .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
-            .to_string();
-        Daemon { child, addr }
-    }
-
-    fn shutdown(mut self) {
-        if let Ok(mut stream) = TcpStream::connect(&self.addr) {
-            let _ = stream.write_all(b"SHUTDOWN\n");
-        }
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
-        let reader = BufReader::new(stream.try_clone().expect("clones"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("writes");
-        self.stream.write_all(b"\n").expect("writes");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("reads a reply line");
-        line.trim_end().to_string()
-    }
-
-    fn roundtrip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-
-    fn query(&mut self, request: &str) -> Vec<String> {
-        self.send(request);
-        let mut frames = Vec::new();
-        loop {
-            let line = self.recv();
-            if line.starts_with("OK n=") {
-                return frames;
-            }
-            assert!(line.starts_with("EVENT "), "unexpected QUERY reply: {line}");
-            frames.push(line);
-        }
-    }
-}
-
-fn wait_for_stats(addr: &str, predicate: impl Fn(&str) -> bool) -> String {
-    let mut client = Client::connect(addr);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = client.roundtrip("STATS");
-        if predicate(&stats) {
-            client.send("QUIT");
-            return stats;
-        }
-        assert!(Instant::now() < deadline, "STATS never converged: {stats}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-/// Steady traffic with a burst: 12 units × 4 categories, categories 0
-/// and 2 bursting at unit 6.
-fn workload() -> Vec<(String, u64)> {
-    let mut records = Vec::new();
-    for u in 0..12u64 {
-        for k in 0..4u64 {
-            let count = if u == 6 && (k == 0 || k == 2) { 40 } else { 8 };
-            for i in 0..count {
-                records.push((format!("cat{k}/leaf"), u * TIMEUNIT + (i % TIMEUNIT)));
-            }
-        }
-    }
-    records
+fn serve() -> Daemon {
+    let mut args = vec!["serve"];
+    args.extend_from_slice(SERVED_FLAGS);
+    args.extend_from_slice(&["--addr", "127.0.0.1:0", "--grace-ms", "400", "--tick-ms", "20"]);
+    Daemon::spawn(BIN, args)
 }
 
 /// Drives the daemon's stream closed and snapshots the observable
@@ -154,21 +26,13 @@ fn workload() -> Vec<(String, u64)> {
 fn snapshot(daemon: &Daemon, records: usize) -> (Vec<String>, String, String) {
     // Units close up to one behind the stream head — the newest unit
     // stays open awaiting more records.
-    let closed = "last_closed=10".to_string();
-    let stats = wait_for_stats(&daemon.addr, |s| s.contains(&closed));
-    let field = |key: &str| {
-        stats
-            .split_whitespace()
-            .find_map(|f| f.strip_prefix(key))
-            .unwrap_or_else(|| panic!("{key} missing from {stats}"))
-            .to_string()
-    };
-    assert_eq!(field("records="), records.to_string(), "every record admitted: {stats}");
-    assert_eq!(field("late="), "0", "{stats}");
-    let mut client = Client::connect(&daemon.addr);
-    let frames = client.query("QUERY 0 9999");
+    let stats = wait_until(daemon, |s| s.field("last_closed") == "10");
+    assert_eq!(stats.num("records"), records as u64, "every record admitted: {stats}");
+    assert_eq!(stats.num("late"), 0, "{stats}");
+    let mut client = Client::connect(daemon);
+    let (frames, _) = client.query("QUERY 0 9999");
     client.send("QUIT");
-    (frames, field("records="), field("top_paths="))
+    (frames, stats.field("records").to_string(), stats.field("top_paths").to_string())
 }
 
 fn ingest_text(addr: &str, records: &[(String, u64)]) {
@@ -178,7 +42,7 @@ fn ingest_text(addr: &str, records: &[(String, u64)]) {
     for (path, t) in records {
         payload.push_str(&format!("PUSH {path} {t}\n"));
     }
-    client.stream.write_all(payload.as_bytes()).expect("writes");
+    client.send_bytes(payload.as_bytes());
     assert_eq!(client.roundtrip("QUIT"), "BYE");
 }
 
@@ -191,26 +55,22 @@ fn ingest_v2(addr: &str, records: &[(String, u64)]) {
     for (seq, batch) in records.chunks(113).enumerate() {
         let mut frame = Vec::new();
         enc.encode_data(seq as u32, batch, &mut frame);
-        client.stream.write_all(&frame).expect("writes frame");
+        client.send_bytes(&frame);
     }
     // PING fences behind every prior frame, even under NOACK.
     let fence = v2::control_frame(v2::FrameKind::Ping, u32::MAX);
-    client.stream.write_all(&fence).expect("writes fence");
+    client.send_bytes(&fence);
     assert_eq!(client.recv(), format!("PONG frame={}", u32::MAX));
-    client.stream.write_all(&v2::control_frame(v2::FrameKind::End, 0)).expect("writes END");
+    client.send_bytes(&v2::control_frame(v2::FrameKind::End, 0));
     assert_eq!(client.recv(), "OK text");
     assert_eq!(client.roundtrip("QUIT"), "BYE");
 }
 
-/// Writes the workload as the CSV/TSV file `tiresias load` reads —
-/// alternating delimiters per line, with a header, a comment, and
-/// blank lines the loader must skip.
-fn write_csv(records: &[(String, u64)]) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "tiresias-load-eq-{}-{:?}.csv",
-        std::process::id(),
-        std::thread::current().id(),
-    ));
+/// Writes the workload into `dir` as the CSV/TSV file `tiresias load`
+/// reads — alternating delimiters per line, with a header, a comment,
+/// and blank lines the loader must skip.
+fn write_csv(dir: &Path, records: &[(String, u64)]) -> PathBuf {
+    let path = dir.join("workload.csv");
     let mut text = String::from("timestamp,category\n# synthetic workload\n\n");
     for (i, (path, t)) in records.iter().enumerate() {
         let delim = if i % 2 == 0 { ',' } else { '\t' };
@@ -220,8 +80,8 @@ fn write_csv(records: &[(String, u64)]) -> PathBuf {
     path
 }
 
-fn ingest_load(addr: &str, csv: &PathBuf, records: usize) {
-    let output = Command::new(env!("CARGO_BIN_EXE_tiresias"))
+fn ingest_load(addr: &str, csv: &Path, records: usize) {
+    let output = Command::new(BIN)
         .arg("load")
         .arg(csv)
         .args(["--addr", addr, "--batch", "157", "--ack"])
@@ -237,14 +97,17 @@ fn ingest_load(addr: &str, csv: &PathBuf, records: usize) {
 /// workload are indistinguishable to the detector.
 #[test]
 fn text_v2_and_load_ingestion_are_byte_identical() {
-    let records = workload();
-    let csv = write_csv(&records);
+    // Steady traffic with a burst: 12 units × 4 categories, categories
+    // 0 and 2 bursting at unit 6.
+    let records = workload(12, 4, 6, &[0, 2], 40);
+    let dir = TempDir::new("load-eq");
+    let csv = write_csv(&dir, &records);
 
-    let text_daemon = Daemon::spawn();
+    let text_daemon = serve();
     ingest_text(&text_daemon.addr, &records);
-    let v2_daemon = Daemon::spawn();
+    let v2_daemon = serve();
     ingest_v2(&v2_daemon.addr, &records);
-    let load_daemon = Daemon::spawn();
+    let load_daemon = serve();
     ingest_load(&load_daemon.addr, &csv, records.len());
 
     let text_state = snapshot(&text_daemon, records.len());
@@ -258,14 +121,13 @@ fn text_v2_and_load_ingestion_are_byte_identical() {
     text_daemon.shutdown();
     v2_daemon.shutdown();
     load_daemon.shutdown();
-    let _ = std::fs::remove_file(&csv);
 }
 
 /// `tiresias load` on a file that does not exist exits 1 and names
 /// the path; a daemon that never learned v2 is reported as such.
 #[test]
 fn load_failures_exit_one_with_the_reason() {
-    let output = Command::new(env!("CARGO_BIN_EXE_tiresias"))
+    let output = Command::new(BIN)
         .args(["load", "/nonexistent/tiresias.csv", "--addr", "127.0.0.1:9"])
         .output()
         .expect("load subcommand runs");

@@ -13,61 +13,19 @@
 //! interleaving one label across nodes), and the serve-side idle-session
 //! reaper satellite.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::io::BufRead;
+use std::net::TcpListener;
+use std::path::Path;
 
 use proptest::prelude::*;
 
-use tiresias::core::{ShardRouter, TiresiasBuilder};
-use tiresias::server::protocol::format_event;
+use tiresias::core::ShardRouter;
+use tiresias_testkit::{
+    offline_events, served, wait_until, with_sentinels, Client, Daemon, Stats, TempDir,
+    SERVED_FLAGS, TIMEUNIT,
+};
 
-const TIMEUNIT: u64 = 60;
-
-/// Detector flags every node shares; the offline replay mirrors them.
-/// Equivalence is only meaningful on identical configuration.
-const DETECTOR_FLAGS: &[&str] = &[
-    "--timeunit",
-    "60",
-    "--window",
-    "16",
-    "--theta",
-    "5",
-    "--season",
-    "4",
-    "--rt",
-    "2",
-    "--dt",
-    "5",
-    "--warmup",
-    "4",
-    "--shards",
-    "2",
-];
-
-fn builder() -> TiresiasBuilder {
-    TiresiasBuilder::new()
-        .timeunit_secs(TIMEUNIT)
-        .window_len(16)
-        .threshold(5.0)
-        .season_length(4)
-        .sensitivity(2.0, 5.0)
-        .warmup_units(4)
-        .shards(2)
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "tiresias-route-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id(),
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir creates");
-    dir
-}
+const BIN: &str = env!("CARGO_BIN_EXE_tiresias");
 
 /// Reserves an address for a node that must come back on the same port
 /// after a kill (the router's routing table is fixed at startup).
@@ -78,162 +36,33 @@ fn reserve_addr() -> String {
     addr
 }
 
-/// A spawned daemon (serve or route), killed on drop so a failing
-/// assertion never leaks a listener.
-struct Daemon {
-    child: Child,
-    addr: String,
+/// Spawns `tiresias serve` on `addr` with the served detector flags, a
+/// WAL under `data_dir` and `extra` flags.
+fn serve(data_dir: &Path, addr: &str, extra: &[&str]) -> Daemon {
+    let dir = data_dir.to_str().expect("utf-8 temp path");
+    let mut args = vec!["serve"];
+    args.extend_from_slice(SERVED_FLAGS);
+    args.extend_from_slice(&["--addr", addr, "--grace-ms", "400", "--tick-ms", "20"]);
+    args.extend_from_slice(&["--data-dir", dir]);
+    args.extend_from_slice(extra);
+    Daemon::spawn(BIN, args)
 }
 
-impl Daemon {
-    fn spawn(args: &[&str]) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_tiresias"))
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("daemon spawns");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut lines = BufReader::new(stdout).lines();
-        let banner = lines.next().expect("daemon prints LISTENING").expect("stdout reads");
-        let addr = banner
-            .strip_prefix("LISTENING ")
-            .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
-            .to_string();
-        Daemon { child, addr }
+/// Spawns `tiresias route` over `nodes` (order = routing table) with
+/// fast probe/backoff so outages are detected in test time.
+fn route(nodes: &[&str]) -> Daemon {
+    let mut args = vec!["route", "--addr", "127.0.0.1:0"];
+    for node in nodes {
+        args.extend_from_slice(&["--node", node]);
     }
-
-    /// Spawns `tiresias serve` on `addr` with the shared detector flags
-    /// and a WAL under `data_dir`.
-    fn spawn_serve(data_dir: &Path, addr: &str) -> Daemon {
-        let dir = data_dir.to_str().expect("utf-8 temp path");
-        let mut args = vec!["serve"];
-        args.extend_from_slice(DETECTOR_FLAGS);
-        args.extend_from_slice(&[
-            "--addr",
-            addr,
-            "--grace-ms",
-            "400",
-            "--tick-ms",
-            "20",
-            "--wal-sync",
-            "every",
-            "--data-dir",
-            dir,
-        ]);
-        Daemon::spawn(&args)
-    }
-
-    /// Spawns `tiresias route` over `nodes` (order = routing table)
-    /// with fast probe/backoff so outages are detected in test time.
-    fn spawn_route(nodes: &[&str]) -> Daemon {
-        let mut args = vec!["route", "--addr", "127.0.0.1:0"];
-        for node in nodes {
-            args.extend_from_slice(&["--node", node]);
-        }
-        args.extend_from_slice(&[
-            "--probe-ms",
-            "100",
-            "--node-timeout-ms",
-            "1000",
-            "--backoff-max-ms",
-            "300",
-        ]);
-        Daemon::spawn(&args)
-    }
-
-    fn kill9(&mut self) {
-        let _ = self.child.kill(); // SIGKILL on unix
-        let _ = self.child.wait();
-    }
-
-    fn shutdown(mut self) {
-        if let Ok(mut stream) = TcpStream::connect(&self.addr) {
-            let _ = stream.write_all(b"SHUTDOWN\n");
-        }
-        let _ = self.child.wait();
-    }
+    args.extend_from_slice(&["--probe-ms", "100", "--node-timeout-ms", "1000"]);
+    args.extend_from_slice(&["--backoff-max-ms", "300"]);
+    Daemon::spawn(BIN, args)
 }
 
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> Client {
-        let stream = TcpStream::connect(addr).expect("connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout set");
-        let reader = BufReader::new(stream.try_clone().expect("clones"));
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("writes");
-        self.stream.write_all(b"\n").expect("writes");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("reads a reply line");
-        line.trim_end().to_string()
-    }
-
-    /// Runs a `QUERY`, returning the event frames and the terminal
-    /// `OK n=…` line (which may carry a `degraded=` tag).
-    fn query(&mut self, request: &str) -> (Vec<String>, String) {
-        self.send(request);
-        let mut frames = Vec::new();
-        loop {
-            let line = self.recv();
-            if line.starts_with("OK n=") {
-                return (frames, line);
-            }
-            assert!(line.starts_with("EVENT "), "unexpected QUERY reply: {line}");
-            frames.push(line);
-        }
-    }
-
-    fn stats(&mut self) -> String {
-        self.send("STATS");
-        loop {
-            let line = self.recv();
-            if line.starts_with("STATS ") || line.starts_with("ERR ") {
-                return line;
-            }
-        }
-    }
-}
-
-/// Polls `STATS` on `addr` until the predicate matches (30 s deadline).
-fn wait_for_stats(addr: &str, predicate: impl Fn(&str) -> bool) -> String {
-    let mut client = Client::connect(addr);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = client.stats();
-        if predicate(&stats) {
-            client.send("QUIT");
-            return stats;
-        }
-        assert!(Instant::now() < deadline, "STATS never converged: {stats}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-fn stat_field(stats: &str, key: &str) -> u64 {
-    stats
-        .split_whitespace()
-        .find_map(|field| field.strip_prefix(key).and_then(|v| v.strip_prefix('=')))
-        .unwrap_or_else(|| panic!("{key}= missing from {stats}"))
-        .parse()
-        .unwrap_or_else(|_| panic!("{key}= not a number in {stats}"))
+/// Whether the router's `node_state` reports `node` in `state`.
+fn node_is(stats: &Stats, node: &str, state: &str) -> bool {
+    stats.field("node_state").split('|').any(|entry| entry == format!("{node}:{state}"))
 }
 
 /// Picks two labels per node from the real routing hash, so the
@@ -270,40 +99,6 @@ fn workload(labels: &[&str; 4], units: std::ops::Range<u64>) -> Vec<(String, u64
     records
 }
 
-/// Pushes records one roundtrip at a time and returns the acked ones —
-/// the exact set the routed durability contract covers.
-fn push_acked(client: &mut Client, records: &[(String, u64)]) -> Vec<(String, u64)> {
-    let mut acked = Vec::new();
-    for (path, t) in records {
-        client.send(&format!("PUSH {path} {t}"));
-        if client.recv() == "OK" {
-            acked.push((path.clone(), *t));
-        }
-    }
-    acked
-}
-
-/// The offline ground truth: a single sharded engine over the acked
-/// records plus one sentinel per node one unit past the data (each node
-/// closes its open units independently, so each needs its own nudge).
-/// Label-to-shard grouping is detection-invariant (see
-/// `tests/sharded_invariance.rs`), which is what makes a single engine
-/// over the union comparable to the two-node merge.
-fn offline_frames_with_sentinels(
-    acked: &[(String, u64)],
-    sentinel_labels: &[&str],
-) -> (Vec<String>, u64) {
-    let last_unit = acked.iter().map(|&(_, t)| t / TIMEUNIT).max().unwrap_or(0);
-    let sentinel = (last_unit + 1) * TIMEUNIT;
-    let mut records = acked.to_vec();
-    for label in sentinel_labels {
-        records.push((label.to_string(), sentinel));
-    }
-    let mut engine = builder().build_sharded().expect("valid test config");
-    engine.push_batch(&records).expect("replay ingests");
-    (engine.anomalies().iter().map(format_event).collect(), sentinel)
-}
-
 /// The headline contract: kill -9 a downstream mid-acked-stream, serve
 /// degraded answers during the outage, park new records for the dead
 /// node with acks withheld, replay them on restart, and end up with a
@@ -312,27 +107,26 @@ fn offline_frames_with_sentinels(
 #[test]
 fn kill9_failover_replays_parked_records_and_preserves_acked_history() {
     let [labels_a, labels_b] = labels_per_node();
+    const WAL_EVERY: &[&str] = &["--wal-sync", "every"];
     let labels: [&str; 4] = [&labels_a[0], &labels_b[0], &labels_a[1], &labels_b[1]];
-    let dir_a = tempdir("node-a");
-    let dir_b = tempdir("node-b");
+    let dir_a = TempDir::new("route-node-a");
+    let dir_b = TempDir::new("route-node-b");
     let addr_b = reserve_addr();
 
-    let node_a = Daemon::spawn_serve(&dir_a, "127.0.0.1:0");
-    let mut node_b = Daemon::spawn_serve(&dir_b, &addr_b);
-    let router = Daemon::spawn_route(&[&node_a.addr, &node_b.addr]);
-    let up =
-        |s: &str| s.contains(&format!("{}:up", node_a.addr)) && s.contains(&format!("{addr_b}:up"));
-    wait_for_stats(&router.addr, up);
+    let node_a = serve(&dir_a, "127.0.0.1:0", WAL_EVERY);
+    let mut node_b = serve(&dir_b, &addr_b, WAL_EVERY);
+    let router = route(&[&node_a.addr, &node_b.addr]);
+    wait_until(&router, |s| node_is(s, &node_a.addr, "up") && node_is(s, &addr_b, "up"));
 
     // Phase 1: both nodes up; every record acks through the router.
-    let mut client = Client::connect(&router.addr);
+    let mut client = Client::connect(&router);
     let phase1 = workload(&labels, 0..8);
-    let acked = push_acked(&mut client, &phase1);
+    let acked = client.push_acked(&phase1);
     assert_eq!(acked.len(), phase1.len(), "all phase-1 records acked");
 
     // Kill node B mid-stream. Its acked records are on its WAL.
     node_b.kill9();
-    wait_for_stats(&router.addr, |s| s.contains(&format!("{addr_b}:down")));
+    wait_until(&router, |s| node_is(s, &addr_b, "down"));
 
     // Queries during the outage answer from the surviving node and say
     // so explicitly.
@@ -347,29 +141,27 @@ fn kill9_failover_replays_parked_records_and_preserves_acked_history() {
         phase2.iter().filter(|(p, _)| labels_a.contains(p)).cloned().collect();
     let to_b: Vec<(String, u64)> =
         phase2.iter().filter(|(p, _)| labels_b.contains(p)).cloned().collect();
-    let mut parked_client = Client::connect(&router.addr);
+    let mut parked_client = Client::connect(&router);
     for (path, t) in &to_b {
         parked_client.send(&format!("PUSH {path} {t}"));
     }
-    let survivor_acked = push_acked(&mut client, &to_a);
+    let survivor_acked = client.push_acked(&to_a);
     assert_eq!(survivor_acked.len(), to_a.len(), "the survivor kept acking during the outage");
-    let stats = wait_for_stats(&router.addr, |s| stat_field(s, "buffered") > 0);
-    assert_eq!(stat_field(&stats, "buffered"), to_b.len() as u64, "all victim records parked");
+    let stats = wait_until(&router, |s| s.num("buffered") > 0);
+    assert_eq!(stats.num("buffered"), to_b.len() as u64, "all victim records parked");
 
     // Restart the victim from its data dir on the same address. The
     // supervisor replays the parked records in admission order and only
     // then releases the withheld acks.
-    node_b = Daemon::spawn_serve(&dir_b, &addr_b);
-    let stats = wait_for_stats(&router.addr, |s| {
-        s.contains(&format!("{addr_b}:up")) && stat_field(s, "buffered") == 0
-    });
-    assert!(stat_field(&stats, "replayed") > 0, "replay was counted: {stats}");
+    node_b = serve(&dir_b, &addr_b, WAL_EVERY);
+    let stats = wait_until(&router, |s| node_is(s, &addr_b, "up") && s.num("buffered") == 0);
+    assert!(stats.num("replayed") > 0, "replay was counted: {stats}");
     for (path, t) in &to_b {
         assert_eq!(parked_client.recv(), "OK", "withheld ack released for {path} {t}");
     }
-    let recovered = wait_for_stats(&node_b.addr, |s| s.starts_with("STATS "));
+    let recovered = tiresias_testkit::stats(&node_b);
     assert!(
-        stat_field(&recovered, "recovered_batches") > 0,
+        recovered.num("recovered_batches") > 0,
         "the restarted node replayed its WAL: {recovered}"
     );
 
@@ -380,15 +172,16 @@ fn kill9_failover_replays_parked_records_and_preserves_acked_history() {
     // equal the offline single-engine replay of the acked records.
     let mut acked = phase1;
     acked.extend(phase2.iter().cloned());
-    let (expected, sentinel) = offline_frames_with_sentinels(&acked, &[labels[0], labels[1]]);
+    let (replayed, sentinel) = with_sentinels(&acked, &labels[..2]);
+    let expected = offline_events(served(), &replayed);
     for label in &labels[..2] {
         client.send(&format!("PUSH {label} {sentinel}"));
         let reply = client.recv();
         assert!(reply == "OK" || reply == "LATE", "sentinel admits: {reply}");
     }
-    let closed = format!("last_closed={}", sentinel / TIMEUNIT - 1);
-    wait_for_stats(&node_a.addr, |s| s.contains(&closed));
-    wait_for_stats(&node_b.addr, |s| s.contains(&closed));
+    let closed = (sentinel / TIMEUNIT - 1).to_string();
+    wait_until(&node_a, |s| s.field("last_closed") == closed);
+    wait_until(&node_b, |s| s.field("last_closed") == closed);
     let (frames, ok) = client.query("QUERY 0 9999");
     assert!(!ok.contains("degraded"), "full answer after recovery: {ok}");
     assert_eq!(frames, expected, "routed QUERY equals the acked-records replay");
@@ -398,51 +191,30 @@ fn kill9_failover_replays_parked_records_and_preserves_acked_history() {
     router.shutdown();
     node_b.shutdown();
     node_a.shutdown();
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
 }
 
 /// Satellite: idle sessions are reaped after `--idle-timeout-ms`, while
 /// subscribers (legitimately silent) are exempt.
 #[test]
 fn idle_sessions_are_reaped_but_subscribers_are_exempt() {
-    let dir = tempdir("idle");
-    let node = {
-        let dir = dir.to_str().expect("utf-8 temp path");
-        let mut args = vec!["serve"];
-        args.extend_from_slice(DETECTOR_FLAGS);
-        args.extend_from_slice(&[
-            "--addr",
-            "127.0.0.1:0",
-            "--grace-ms",
-            "400",
-            "--tick-ms",
-            "20",
-            "--idle-timeout-ms",
-            "300",
-            "--data-dir",
-            dir,
-        ]);
-        Daemon::spawn(&args)
-    };
+    let dir = TempDir::new("route-idle");
+    let node = serve(&dir, "127.0.0.1:0", &["--idle-timeout-ms", "300"]);
 
-    let mut subscriber = Client::connect(&node.addr);
+    let mut subscriber = Client::connect(&node);
     subscriber.send("SUBSCRIBE");
     assert!(subscriber.recv().starts_with("OK subscribed"), "subscription opens");
-    let idle = Client::connect(&node.addr);
+    let mut idle = Client::connect(&node);
 
-    let stats = wait_for_stats(&node.addr, |s| stat_field(s, "reaped_sessions") >= 1);
-    assert_eq!(stat_field(&stats, "reaped_sessions"), 1, "only the idle session: {stats}");
-    assert_eq!(stat_field(&stats, "subscribers"), 1, "the subscriber survived: {stats}");
+    let stats = wait_until(&node, |s| s.num("reaped_sessions") >= 1);
+    assert_eq!(stats.num("reaped_sessions"), 1, "only the idle session: {stats}");
+    assert_eq!(stats.num("subscribers"), 1, "the subscriber survived: {stats}");
 
     // The reaped connection is actually closed: reads see EOF.
-    let mut reader = BufReader::new(idle.stream.try_clone().expect("clones"));
     let mut line = String::new();
-    let n = reader.read_line(&mut line).expect("read returns");
+    let n = idle.reader.read_line(&mut line).expect("read returns");
     assert_eq!(n, 0, "reaped session's socket is closed, got: {line}");
 
     node.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Slash-joined category paths over a small alphabet, so distinct
