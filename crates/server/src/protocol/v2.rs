@@ -119,9 +119,8 @@ pub struct FrameHeader {
     pub payload_crc: u32,
 }
 
-/// Assembles a frame header for `payload` into a fixed array.
-fn header_bytes(kind: FrameKind, seq: u32, payload: &[u8]) -> [u8; HEADER_BYTES] {
-    let mut h = [0u8; HEADER_BYTES];
+/// Writes the header of a frame carrying `payload` into `h`.
+fn fill_header(h: &mut [u8], kind: FrameKind, seq: u32, payload: &[u8]) {
     h[0..2].copy_from_slice(&MAGIC);
     h[2] = VERSION;
     h[3] = kind.to_byte();
@@ -130,12 +129,13 @@ fn header_bytes(kind: FrameKind, seq: u32, payload: &[u8]) -> [u8; HEADER_BYTES]
     h[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
     let hcrc = crc32(&h[0..16]);
     h[16..20].copy_from_slice(&hcrc.to_le_bytes());
-    h
 }
 
 /// A complete END or PING frame (empty payload) as fixed bytes.
 pub fn control_frame(kind: FrameKind, seq: u32) -> [u8; HEADER_BYTES] {
-    header_bytes(kind, seq, &[])
+    let mut h = [0u8; HEADER_BYTES];
+    fill_header(&mut h, kind, seq, &[]);
+    h
 }
 
 /// Validates and decodes a frame header. The error text is sent back
@@ -208,10 +208,14 @@ fn unzigzag(z: u64) -> i64 {
 /// The sending half: interns labels into the per-connection dictionary
 /// and assembles DATA frames.
 ///
-/// `add` and `finish` must be paired per frame: `add` stages a record
-/// (assigning dictionary ids as a side effect) and `finish` ships the
-/// staged records — dropping staged records instead of finishing would
-/// desync the dictionary from the receiver.
+/// A record is staged either by label ([`add`](FrameEncoder::add)) or,
+/// when the caller already holds the label's id, by id
+/// ([`intern`](FrameEncoder::intern) once, then
+/// [`add_id`](FrameEncoder::add_id) per record: two varints, no hash,
+/// no allocation). [`finish`](FrameEncoder::finish) ships everything
+/// staged since the last frame. Labels interned into a frame are part
+/// of it even if no record uses them, so dropping staged work instead
+/// of finishing would desync the dictionary from the receiver.
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
     ids: FxHashMap<String, u32>,
@@ -238,31 +242,51 @@ impl FrameEncoder {
         self.pending_records as usize
     }
 
-    /// Stages one record into the current frame.
-    pub fn add(&mut self, label: &str, t_secs: u64) {
-        let next = self.ids.len() as u32;
-        let id = *self.ids.entry(label.to_string()).or_insert(next);
-        if id == next {
-            put_uvarint(&mut self.dict_buf, label.len() as u64);
-            self.dict_buf.extend_from_slice(label.as_bytes());
-            self.pending_entries += 1;
+    /// The dictionary id of `label`. A label this connection has not
+    /// sent before gets the next id and is staged into the current
+    /// frame's dictionary section; a known label costs one lookup and
+    /// no allocation.
+    pub fn intern(&mut self, label: &str) -> u32 {
+        if let Some(&id) = self.ids.get(label) {
+            return id;
         }
+        let id = self.ids.len() as u32;
+        self.ids.insert(label.to_string(), id);
+        put_uvarint(&mut self.dict_buf, label.len() as u64);
+        self.dict_buf.extend_from_slice(label.as_bytes());
+        self.pending_entries += 1;
+        id
+    }
+
+    /// Stages one record by an id [`intern`](FrameEncoder::intern)
+    /// returned.
+    pub fn add_id(&mut self, id: u32, t_secs: u64) {
+        debug_assert!((id as usize) < self.ids.len(), "id {id} was never interned");
         put_uvarint(&mut self.rec_buf, u64::from(id));
         put_uvarint(&mut self.rec_buf, zigzag(t_secs.wrapping_sub(self.prev_ts) as i64));
         self.prev_ts = t_secs;
         self.pending_records += 1;
     }
 
+    /// Stages one record into the current frame.
+    pub fn add(&mut self, label: &str, t_secs: u64) {
+        let id = self.intern(label);
+        self.add_id(id, t_secs);
+    }
+
     /// Assembles the staged records into one DATA frame appended to
-    /// `out` and resets the staging area for the next frame.
+    /// `out` and resets the staging area for the next frame. The
+    /// payload is written in place behind a reserved header, so a
+    /// frame allocates nothing once `out` has the capacity.
     pub fn finish(&mut self, seq: u32, out: &mut Vec<u8>) {
-        let mut payload = Vec::with_capacity(self.dict_buf.len() + self.rec_buf.len() + 2 * 10);
-        put_uvarint(&mut payload, self.pending_entries);
-        payload.extend_from_slice(&self.dict_buf);
-        put_uvarint(&mut payload, self.pending_records);
-        payload.extend_from_slice(&self.rec_buf);
-        out.extend_from_slice(&header_bytes(FrameKind::Data, seq, &payload));
-        out.extend_from_slice(&payload);
+        let start = out.len();
+        out.resize(start + HEADER_BYTES, 0);
+        put_uvarint(out, self.pending_entries);
+        out.extend_from_slice(&self.dict_buf);
+        put_uvarint(out, self.pending_records);
+        out.extend_from_slice(&self.rec_buf);
+        let (header, payload) = out[start..].split_at_mut(HEADER_BYTES);
+        fill_header(header, FrameKind::Data, seq, payload);
         self.dict_buf.clear();
         self.rec_buf.clear();
         self.pending_entries = 0;
@@ -572,6 +596,23 @@ mod tests {
     }
 
     #[test]
+    fn intern_and_add_id_encode_what_add_does() {
+        let mut by_label = FrameEncoder::new();
+        let mut by_id = FrameEncoder::new();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        by_label.encode_data(4, &[("a/x", 9u64), ("b/y", 2), ("a/x", 11)], &mut want);
+        let a = by_id.intern("a/x");
+        let b = by_id.intern("b/y");
+        assert_eq!(by_id.intern("a/x"), a, "a known label keeps its id and ships once");
+        for (id, t) in [(a, 9u64), (b, 2), (a, 11)] {
+            by_id.add_id(id, t);
+        }
+        by_id.finish(4, &mut got);
+        assert_eq!(got, want);
+        assert_eq!(by_id.dict_len(), 2);
+    }
+
+    #[test]
     fn empty_data_frame_round_trips() {
         let mut enc = FrameEncoder::new();
         let mut bytes = Vec::new();
@@ -613,7 +654,8 @@ mod tests {
 
     #[test]
     fn header_rejects_oversized_payloads() {
-        let mut h = header_bytes(FrameKind::Data, 0, &[]);
+        let mut h = [0u8; HEADER_BYTES];
+        fill_header(&mut h, FrameKind::Data, 0, &[]);
         h[8..12].copy_from_slice(&(MAX_PAYLOAD_BYTES + 1).to_le_bytes());
         let crc = crc32(&h[0..16]).to_le_bytes();
         h[16..20].copy_from_slice(&crc);
@@ -685,5 +727,22 @@ mod tests {
             "\\x54\\x32\\x02\\x01\\x01\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00\\x00\
              \\xb1\\x8e\\xaf\\x33"
         );
+    }
+
+    /// Locks the exact bytes of a DATA frame that ships one new label,
+    /// reuses a label from an earlier frame and one from its own, and
+    /// codes a negative and a two-byte timestamp delta.
+    #[test]
+    fn data_frame_bytes_are_stable() {
+        let mut enc = FrameEncoder::new();
+        let mut out = Vec::new();
+        enc.encode_data(0, &[("a/x", 5u64)], &mut out);
+        out.clear();
+        enc.encode_data(1, &[("b/y", 7u64), ("a/x", 3), ("b/y", 300)], &mut out);
+        let hex = out.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let (header, payload) = hex.split_at(2 * HEADER_BYTES);
+        assert_eq!(header, "54320200010000000d000000f01316750f79cdd1");
+        // 1 new entry "b/y" (id 1); 3 records: (1, +7), (0, -4), (1, +297).
+        assert_eq!(payload, ["01", "03622f79", "03", "010e", "0007", "01d204"].concat());
     }
 }

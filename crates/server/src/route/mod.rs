@@ -155,7 +155,8 @@ struct RouterShared {
 impl RouterShared {
     /// Stops the daemon exactly once: flips the stop flag, closes every
     /// outage buffer (resolving parked tickets with an error so no
-    /// writer thread waits forever), and unblocks the accept loop.
+    /// writer thread waits forever), closes the fan-in streams, and
+    /// unblocks the accept loop.
     fn initiate_shutdown(&self) {
         if self.shutdown_started.swap(true, Ordering::SeqCst) {
             return;
@@ -166,6 +167,9 @@ impl RouterShared {
                 .lock()
                 .expect("buffer lock never poisoned")
                 .close("ERR router shutting down; record not delivered");
+            if let Some(stream) = &*node.fanin.lock().expect("fan-in lock never poisoned") {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         }
         let _ = TcpStream::connect(self.addr);
     }
@@ -244,22 +248,13 @@ impl Router {
             .iter()
             .enumerate()
             .map(|(i, node)| {
-                let addr = node.addr.clone();
+                let node = Arc::clone(node);
                 let stop = Arc::clone(&stop);
                 let hub = Arc::clone(&hub);
                 let next_unit = Arc::clone(&next_unit);
-                let timeout = config.request_timeout;
                 let backoff_max = config.backoff_max;
                 std::thread::spawn(move || {
-                    run_fanin(
-                        addr,
-                        stop,
-                        hub,
-                        next_unit,
-                        timeout,
-                        backoff_max,
-                        0xc2b2 + i as u64 * 2,
-                    )
+                    run_fanin(node, stop, hub, next_unit, backoff_max, 0xc2b2 + i as u64 * 2)
                 })
             })
             .collect();
@@ -1055,16 +1050,47 @@ struct RouterV2 {
     conns: Vec<Option<V2NodeConn>>,
 }
 
-/// One downstream v2 connection: its own [`v2::FrameEncoder`] — the
-/// node-side dictionary is per *connection*, so the encoder's lifetime
-/// is tied to the socket and a reconnect starts both afresh, which is
-/// what keeps the two sides in sync — plus a frame-sequence counter
-/// and the assembled-frame scratch.
+/// A client dictionary id this connection has not interned yet.
+const UNMAPPED: u32 = u32::MAX;
+
+/// One downstream v2 connection: its own [`v2::FrameEncoder`] and the
+/// remap from client dictionary ids to the encoder's ids. The node-side
+/// dictionary is per *connection*, so both live and die with the
+/// socket — a reconnect or a mode flip starts them afresh, which is
+/// what keeps the router's table in sync with the node's. Plus a
+/// frame-sequence counter and the assembled-frame scratch.
 struct V2NodeConn {
     enc: v2::FrameEncoder,
+    /// Client dictionary id → node-side id ([`UNMAPPED`] until the
+    /// first record carrying it reaches this node); grows with the
+    /// client dictionary.
+    remap: Vec<u32>,
     seq: u32,
     out: Vec<u8>,
     transport: V2Transport,
+}
+
+impl V2NodeConn {
+    /// Stages `records` (client ids) as one sub-frame in `out`. A
+    /// client id's first record here interns its label — keyed by the
+    /// label, so a client dictionary that lists a label twice still
+    /// ships it once — and every later one is two varints.
+    fn encode(&mut self, dict: &[String], records: &[(u32, u64)]) {
+        if self.remap.len() < dict.len() {
+            self.remap.resize(dict.len(), UNMAPPED);
+        }
+        for &(id, t_secs) in records {
+            let slot = &mut self.remap[id as usize];
+            if *slot == UNMAPPED {
+                *slot = self.enc.intern(&dict[id as usize]);
+            }
+            self.enc.add_id(*slot, t_secs);
+        }
+        self.out.clear();
+        let seq = self.seq;
+        self.seq = self.seq.wrapping_add(1);
+        self.enc.finish(seq, &mut self.out);
+    }
 }
 
 /// How a [`V2NodeConn`] talks to its node: fire-and-forget bulk writes
@@ -1235,14 +1261,8 @@ fn forward_v2_frame(
             continue;
         }
         let conn = rv2.conns[idx].as_mut().expect("ensured above");
-        for &(id, t_secs) in &rv2.per_node[idx] {
-            conn.enc.add(&rv2.dict[id as usize], t_secs);
-        }
+        conn.encode(&rv2.dict, &rv2.per_node[idx]);
         rv2.per_node[idx].clear();
-        conn.out.clear();
-        let sub_seq = conn.seq;
-        conn.seq = conn.seq.wrapping_add(1);
-        conn.enc.finish(sub_seq, &mut conn.out);
         match &mut conn.transport {
             V2Transport::Bulk(bulk) => {
                 // Fire-and-forget, like the text bulk path: a mid-send
@@ -1350,8 +1370,13 @@ fn ensure_v2_conn(
             Err(_) => return false,
         }
     };
-    conns[idx] =
-        Some(V2NodeConn { enc: v2::FrameEncoder::new(), seq: 0, out: Vec::new(), transport });
+    conns[idx] = Some(V2NodeConn {
+        enc: v2::FrameEncoder::new(),
+        remap: Vec::new(),
+        seq: 0,
+        out: Vec::new(),
+        transport,
+    });
     true
 }
 
@@ -1568,6 +1593,35 @@ mod tests {
 
         node_a.shutdown();
         node_a.join().unwrap();
+    }
+
+    /// Shutdown wakes the fan-in readers blocked on a live node's
+    /// subscribe stream: `join` returns well inside one request
+    /// timeout instead of waiting it out.
+    #[test]
+    fn join_returns_promptly_while_the_nodes_are_up() {
+        let nodes = [Server::start(node_config()).unwrap(), Server::start(node_config()).unwrap()];
+        let mut config =
+            RouterConfig::new(nodes.iter().map(|n| n.local_addr().to_string()).collect());
+        config.probe_interval = Duration::from_millis(100);
+        config.request_timeout = Duration::from_secs(2);
+        let router = Router::start(config).unwrap();
+        wait_for_stats(router.local_addr(), |s| s.matches(":up").count() == 2);
+        // Each fan-in reader is subscribed, so it sits in a read.
+        for node in &nodes {
+            wait_for_stats(node.local_addr(), |s| s.contains(" subscribers=1 "));
+        }
+
+        let t0 = Instant::now();
+        router.shutdown();
+        router.join();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(500), "join took {took:?}");
+
+        for node in nodes {
+            node.shutdown();
+            node.join().unwrap();
+        }
     }
 
     #[test]

@@ -177,6 +177,9 @@ pub(crate) struct Node {
     pub buffered_total: AtomicU64,
     /// Records replayed from the outage buffer after reconnects.
     pub replayed: AtomicU64,
+    /// A clone of the `SUBSCRIBE` fan-in reader's live stream, which
+    /// shutdown closes to wake the reader.
+    pub fanin: Mutex<Option<TcpStream>>,
     request_timeout: Duration,
     telem: NodeTelemetry,
 }
@@ -195,6 +198,7 @@ impl Node {
             buffer: Mutex::new(OutageBuffer::new(buffer_records)),
             buffered_total: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
+            fanin: Mutex::new(None),
             request_timeout,
             telem,
         })
@@ -494,12 +498,15 @@ pub(crate) fn frame_unit(frame: &str) -> Option<u64> {
 /// counting frames per unit (a node replays a unit's retained events in
 /// a deterministic order, so "skip the first `k` frames of unit `u`"
 /// resumes exactly), and broadcasts fresh frames into the router's hub.
+///
+/// Each live subscribe connection is published in [`Node::fanin`], so
+/// shutdown can close it and wake a read that would otherwise wait out
+/// its full timeout before seeing the stop flag.
 pub(crate) fn run_fanin(
-    addr: String,
+    node: Arc<Node>,
     stop: Arc<AtomicBool>,
     hub: Arc<Hub>,
     next_unit: Arc<AtomicU64>,
-    request_timeout: Duration,
     backoff_max: Duration,
     seed: u64,
 ) {
@@ -508,7 +515,7 @@ pub(crate) fn run_fanin(
     // Highest unit forwarded and how many of its frames went out.
     let mut pos: Option<(u64, usize)> = None;
     'reconnect: while !stop.load(Ordering::SeqCst) {
-        let mut conn = match Conn::connect(&addr, request_timeout) {
+        let mut conn = match Conn::connect(&node.addr, node.request_timeout) {
             Ok(conn) => conn,
             Err(_) => {
                 sleep_interruptible(jitter.spread(backoff), &stop);
@@ -516,6 +523,12 @@ pub(crate) fn run_fanin(
                 continue;
             }
         };
+        *node.fanin.lock().expect("fan-in lock never poisoned") = conn.write_half().ok();
+        // Shutdown flips the flag before it closes the published
+        // streams, so a stream published after that pass is caught here.
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
         let request = match pos {
             Some((unit, _)) => format!("SUBSCRIBE FROM {unit}"),
             None => "SUBSCRIBE".to_string(),

@@ -7,43 +7,12 @@
 //! The whole test binary runs on a counting allocator, so this file
 //! holds exactly one test (nothing else may allocate while it counts).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use tiresias_core::{Admission, RecordBatch, TiresiasBuilder, DEFAULT_MAX_AHEAD_UNITS};
 use tiresias_server::protocol::v2::{decode_header, FrameDecoder, FrameEncoder, HEADER_BYTES};
-
-/// Counts every allocation and reallocation the process makes.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// relaxed counter increment, which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's contract is `System.alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this `layout`, as the caller guarantees.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: as for `dealloc`, plus the caller's guarantee that
-        // `new_size` is valid for `layout`'s alignment.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use tiresias_testkit::{allocations, CountingAlloc};
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 const TIMEUNIT: u64 = 900;
 const PATHS: usize = 64;
@@ -95,7 +64,7 @@ fn allocations_do_not_grow_with_the_record_count() {
     let mut serve = |records: usize| -> u64 {
         let now = frame(&mut enc, &paths, open, records);
         let ahead = frame(&mut enc, &paths, open + 2, records);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         for payload in [&now, &ahead] {
             batch.clear();
             dec.decode_data(payload, &mut batch).expect("well-formed frame");
@@ -106,7 +75,7 @@ fn allocations_do_not_grow_with_the_record_count() {
         }
         open += 1;
         live.close_to(open).expect("closes");
-        ALLOCATIONS.load(Ordering::Relaxed) - before
+        allocations() - before
     };
 
     // Warm-up: every path known to the dictionary, the trees and the

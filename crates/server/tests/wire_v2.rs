@@ -3,18 +3,27 @@
 //! sockets, hostile-frame handling (every corrupt frame answers `ERR`
 //! and closes the session without wedging the daemon), and
 //! text-versus-v2 admission equivalence including the heavy-hitter
-//! gauge.
+//! gauge, and v2 forwarding through the router (routed output equals
+//! the offline replay; a frame a down node misses answers `degraded=`).
 
 use std::io::Read;
+use std::net::TcpListener;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use tiresias_core::{ShardRouter, TiresiasBuilder};
 use tiresias_server::protocol::v2;
-use tiresias_server::{Server, ServerConfig};
-use tiresias_testkit::{offline_events, served, wait_until, workload, Client, TIMEUNIT};
+use tiresias_server::{Router, RouterConfig, Server, ServerConfig};
+use tiresias_testkit::{
+    offline_events, served, wait_until, with_sentinels, workload, Client, Stats, TIMEUNIT,
+};
 
 fn config() -> ServerConfig {
-    let mut config = ServerConfig::new(served());
+    config_for(served())
+}
+
+fn config_for(builder: TiresiasBuilder) -> ServerConfig {
+    let mut config = ServerConfig::new(builder);
     config.grace = Duration::from_millis(600);
     config.tick = Duration::from_millis(20);
     config
@@ -397,4 +406,288 @@ fn noack_v2_reports_dropped_records_unsolicited() {
 
     assert_eq!(Client::connect(&server).roundtrip("SHUTDOWN"), "OK shutting down");
     server.join().expect("clean shutdown");
+}
+
+/// A router with fast probes over `nodes` (order = routing table),
+/// returned once it reports every node up.
+fn router_over(nodes: &[String]) -> Router {
+    router_probing_every(nodes, Duration::from_millis(100))
+}
+
+fn router_probing_every(nodes: &[String], probe_interval: Duration) -> Router {
+    let mut config = RouterConfig::new(nodes.to_vec());
+    config.probe_interval = probe_interval;
+    config.request_timeout = Duration::from_secs(2);
+    config.backoff_max = Duration::from_millis(300);
+    let router = Router::start(config).expect("router starts");
+    wait_until(&router, |s| nodes.iter().all(|n| node_is(s, n, "up")));
+    router
+}
+
+/// Whether the router's `node_state` reports `node` in `state`.
+fn node_is(stats: &Stats, node: &str, state: &str) -> bool {
+    stats.field("node_state").split('|').any(|entry| entry == format!("{node}:{state}"))
+}
+
+/// `count` labels per node of a two-node router, from the real routing
+/// hash.
+fn labels_per_node(count: usize) -> [Vec<String>; 2] {
+    let shards = ShardRouter::new(2);
+    let mut per_node: [Vec<String>; 2] = [Vec::new(), Vec::new()];
+    for k in 0.. {
+        let label = format!("cat{k}/leaf");
+        let node = shards.route(&label);
+        if per_node[node].len() < count {
+            per_node[node].push(label);
+        }
+        if per_node.iter().all(|labels| labels.len() == count) {
+            return per_node;
+        }
+    }
+    unreachable!("the routing hash is not degenerate over all labels");
+}
+
+/// A client-side v2 dictionary assembled by hand, so a frame can list a
+/// label the dictionary already holds (which [`v2::FrameEncoder`] never
+/// does).
+#[derive(Default)]
+struct ClientDict {
+    labels: Vec<String>,
+}
+
+impl ClientDict {
+    /// One DATA frame: first `relist` (appended to the dictionary even
+    /// if already present), then every label of `records` not yet in
+    /// it. A record whose label has several ids takes them in turn, so
+    /// every id of a relisted label is used.
+    fn frame(&mut self, seq: u32, relist: &[&str], records: &[(String, u64)]) -> Vec<u8> {
+        let before = self.labels.len();
+        self.labels.extend(relist.iter().map(|l| l.to_string()));
+        for (label, _) in records {
+            if !self.labels.contains(label) {
+                self.labels.push(label.clone());
+            }
+        }
+        let mut payload = Vec::new();
+        v2::put_uvarint(&mut payload, (self.labels.len() - before) as u64);
+        for label in &self.labels[before..] {
+            v2::put_uvarint(&mut payload, label.len() as u64);
+            payload.extend_from_slice(label.as_bytes());
+        }
+        v2::put_uvarint(&mut payload, records.len() as u64);
+        let mut prev = 0u64;
+        for (i, (label, t)) in records.iter().enumerate() {
+            let ids: Vec<usize> =
+                (0..self.labels.len()).filter(|&j| self.labels[j] == *label).collect();
+            v2::put_uvarint(&mut payload, ids[i % ids.len()] as u64);
+            let delta = t.wrapping_sub(prev) as i64;
+            v2::put_uvarint(&mut payload, ((delta << 1) ^ (delta >> 63)) as u64);
+            prev = *t;
+        }
+        raw_data_frame(seq, &payload)
+    }
+}
+
+/// The router's v2 forward path against the offline oracle: acked
+/// frames that reuse labels across frames, introduce one mid-stream and
+/// list one twice in the client dictionary, then an `END` → `NOACK` →
+/// `UPGRADE` flip (fresh node connections, fresh remaps) and more
+/// frames behind a `PING` fence. The two nodes' `QUERY` answers,
+/// together, equal the offline replay of every record sent.
+#[test]
+fn routed_v2_equals_the_offline_replay_across_a_mode_flip() {
+    let [on_a, on_b] = labels_per_node(3);
+    let steady = [&on_a[0], &on_b[0], &on_a[1], &on_b[1]];
+    let late_comer = &on_a[2]; // first sent at unit 3
+    let units = |range: std::ops::Range<u64>| -> Vec<Vec<(String, u64)>> {
+        range
+            .map(|u| {
+                let mut unit = Vec::new();
+                for (k, label) in steady.iter().enumerate() {
+                    let count = if u == 6 && k < 2 { 40 } else { 8 };
+                    unit.extend(
+                        (0..count).map(|i| (label.to_string(), u * TIMEUNIT + i % TIMEUNIT)),
+                    );
+                }
+                if u >= 3 {
+                    unit.extend((0..6).map(|i| (late_comer.clone(), u * TIMEUNIT + 2 * i)));
+                }
+                unit
+            })
+            .collect()
+    };
+    let acked_units = units(0..6);
+    let bulk_units = units(6..10);
+
+    let nodes = [
+        Server::start(config_for(served().shards(1))).expect("node starts"),
+        Server::start(config_for(served().shards(1))).expect("node starts"),
+    ];
+    let addrs: Vec<String> = nodes.iter().map(|n| n.local_addr().to_string()).collect();
+    let router = router_over(&addrs);
+    let mut client = Client::connect(&router);
+    upgrade(&mut client);
+    let mut dict = ClientDict::default();
+    let mut seq = 0u32;
+    for (u, records) in acked_units.iter().enumerate() {
+        // Unit 4 relists one label per node that the dictionary holds.
+        let relist: &[&str] = if u == 4 { &[&on_a[0], &on_b[0]] } else { &[] };
+        client.send_bytes(&dict.frame(seq, relist, records));
+        assert_eq!(client.recv(), format!("OK frame={seq} n={} late=0 ahead=0", records.len()));
+        seq += 1;
+    }
+    assert_eq!(dict.labels.len(), 7, "five labels plus two relisted");
+
+    client.send_bytes(&v2::control_frame(v2::FrameKind::End, seq));
+    assert_eq!(client.recv(), "OK text");
+    assert_eq!(client.roundtrip("NOACK"), "OK");
+    assert_eq!(client.roundtrip("UPGRADE"), "OK upgraded");
+    let mut sent: Vec<(String, u64)> = acked_units.concat();
+    sent.extend(bulk_units.concat());
+    let (replayed, sentinel) = with_sentinels(&sent, &[&on_a[0], &on_b[0]]);
+    let sentinels = replayed[sent.len()..].to_vec();
+    for records in bulk_units.iter().chain([&sentinels]) {
+        seq += 1;
+        client.send_bytes(&dict.frame(seq, &[], records));
+    }
+    client.send_bytes(&v2::control_frame(v2::FrameKind::Ping, 1_000));
+    assert_eq!(client.recv(), "PONG frame=1000");
+
+    let closed = (sentinel / TIMEUNIT - 1).to_string();
+    let mut got = Vec::new();
+    let mut admitted = 0;
+    for node in &nodes {
+        admitted += wait_until(node, |s| s.field("last_closed") == closed).num("records");
+        let (frames, _) = Client::connect(node).query("QUERY 0 9999");
+        got.extend(frames);
+    }
+    assert_eq!(admitted, replayed.len() as u64, "every record reached its node once");
+    let mut expected = offline_events(served(), &replayed);
+    assert!(!expected.is_empty(), "the bursts produced anomalies");
+    expected.sort();
+    got.sort();
+    assert_eq!(got, expected, "routed v2 output equals the offline replay");
+
+    client.send("QUIT");
+    router.shutdown();
+    router.join();
+    for node in nodes {
+        node.shutdown();
+        node.join().expect("clean shutdown");
+    }
+}
+
+/// An acked frame whose records span a down node answers `ERR …
+/// degraded=<addr>` with the live node's confirmed count — first
+/// through the dead connection left from before the outage, then
+/// without a connection, since the router knows the node is down.
+/// Nothing is re-sent, and once the node is back the next frame acks
+/// `OK`.
+#[test]
+fn a_frame_missing_a_down_node_is_degraded_then_recovers() {
+    let [on_a, on_b] = labels_per_node(1);
+    let node_a = Server::start(config_for(served().shards(1))).expect("node starts");
+    let (node_b, b_config) = restartable_node();
+    let addr_b = b_config.addr.clone();
+    let router = router_over(&[node_a.local_addr().to_string(), addr_b.clone()]);
+
+    let mut client = Client::connect(&router);
+    upgrade(&mut client);
+    let mut enc = v2::FrameEncoder::new();
+    let frame = |enc: &mut v2::FrameEncoder, seq: u32, t: u64| {
+        two_node_frame(enc, seq, t, &on_a[0], &on_b[0])
+    };
+    client.send_bytes(&frame(&mut enc, 0, 10));
+    assert_eq!(client.recv(), "OK frame=0 n=3 late=0 ahead=0");
+
+    node_b.shutdown();
+    node_b.join().expect("clean shutdown");
+    wait_until(&router, |s| node_is(s, &addr_b, "down"));
+    for seq in [1, 2] {
+        client.send_bytes(&frame(&mut enc, seq, 20));
+        let want = format!("ERR frame={seq} degraded={addr_b} n=2 late=0 ahead=0");
+        assert_eq!(client.recv(), want);
+    }
+
+    let node_b = Server::start(b_config).expect("node restarts");
+    wait_until(&router, |s| node_is(s, &addr_b, "up"));
+    client.send_bytes(&frame(&mut enc, 3, 30));
+    assert_eq!(client.recv(), "OK frame=3 n=3 late=0 ahead=0");
+    assert_eq!(
+        tiresias_testkit::stats(&node_b).num("records"),
+        1,
+        "the missed record was not re-sent"
+    );
+
+    client.send("QUIT");
+    router.shutdown();
+    router.join();
+    for node in [node_a, node_b] {
+        node.shutdown();
+        node.join().expect("clean shutdown");
+    }
+}
+
+/// A node that dies between probes, while the router still counts it
+/// up, fails inside the acked exchange itself (the send or the ack
+/// read): the frame is `degraded=` that node with the live node's
+/// count, the dead connection is dropped, and the next frame reopens it.
+#[test]
+fn a_node_that_dies_between_probes_degrades_the_frame_then_reconnects() {
+    let [on_a, on_b] = labels_per_node(1);
+    let node_a = Server::start(config_for(served().shards(1))).expect("node starts");
+    let (node_b, b_config) = restartable_node();
+    let addr_b = b_config.addr.clone();
+    // No probe runs after start-up, so the router still counts B up
+    // when frame 1 arrives (and nothing here asks it for STATS, whose
+    // fan-out to the nodes would notice).
+    let router = router_probing_every(
+        &[node_a.local_addr().to_string(), addr_b.clone()],
+        Duration::from_secs(600),
+    );
+
+    let mut client = Client::connect(&router);
+    upgrade(&mut client);
+    let mut enc = v2::FrameEncoder::new();
+    client.send_bytes(&two_node_frame(&mut enc, 0, 10, &on_a[0], &on_b[0]));
+    assert_eq!(client.recv(), "OK frame=0 n=3 late=0 ahead=0");
+
+    node_b.shutdown();
+    node_b.join().expect("clean shutdown");
+    client.send_bytes(&two_node_frame(&mut enc, 1, 20, &on_a[0], &on_b[0]));
+    assert_eq!(client.recv(), format!("ERR frame=1 degraded={addr_b} n=2 late=0 ahead=0"));
+
+    let node_b = Server::start(b_config).expect("node restarts");
+    client.send_bytes(&two_node_frame(&mut enc, 2, 30, &on_a[0], &on_b[0]));
+    assert_eq!(client.recv(), "OK frame=2 n=3 late=0 ahead=0");
+    assert_eq!(
+        tiresias_testkit::stats(&node_b).num("records"),
+        1,
+        "the missed record was not re-sent"
+    );
+
+    client.send("QUIT");
+    router.shutdown();
+    router.join();
+    for node in [node_a, node_b] {
+        node.shutdown();
+        node.join().expect("clean shutdown");
+    }
+}
+
+/// A 1-shard node on a fixed port, with the config to restart it there.
+fn restartable_node() -> (Server, ServerConfig) {
+    let placeholder = TcpListener::bind("127.0.0.1:0").expect("ephemeral bind");
+    let mut config = config_for(served().shards(1));
+    config.addr = placeholder.local_addr().expect("local addr").to_string();
+    drop(placeholder);
+    (Server::start(config.clone()).expect("node starts"), config)
+}
+
+/// One DATA frame of three records at `t`, `t` and `t + 1`: two for
+/// `on_a`'s node and one for `on_b`'s.
+fn two_node_frame(enc: &mut v2::FrameEncoder, seq: u32, t: u64, on_a: &str, on_b: &str) -> Vec<u8> {
+    let mut out = Vec::new();
+    enc.encode_data(seq, &[(on_a, t), (on_b, t), (on_a, t + 1)], &mut out);
+    out
 }

@@ -22,7 +22,10 @@
 //! * [`Stats`], [`stats`] and [`wait_until`]: the one place that knows
 //!   the `STATS` reply format.
 //! * [`TempDir`]: a directory removed on drop, panics included.
+//! * [`CountingAlloc`] and [`allocations`]: an allocator that counts,
+//!   for tests that pin how often a hot path allocates.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::ffi::OsStr;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
@@ -30,7 +33,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use tiresias_core::{ShardedTiresias, TiresiasBuilder};
@@ -432,6 +435,45 @@ impl Deref for TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
+/// The system allocator, counting every allocation and reallocation.
+/// A test binary opts in with
+/// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`
+/// and reads the count with [`allocations`]. The count is process-wide,
+/// so such a binary should hold one test: nothing else may allocate
+/// while it counts.
+pub struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Allocations and reallocations made so far through [`CountingAlloc`].
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// relaxed counter increment, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's contract is `System.alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`, plus the caller's guarantee that
+        // `new_size` is valid for `layout`'s alignment.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
